@@ -8,7 +8,9 @@ set of flags: every collection is emitted in its canonical order, floats are
 printed with repr, and JSON objects use a fixed key layout.
 
 Exit status: 0 on success, 1 when a verification run finds a counterexample,
-2 on usage errors (unknown words, unsupported primes, out-of-range bounds).
+2 when the input is rejected (unknown words, unsupported primes,
+out-of-range bounds).  Any other error is a fault of the program: it ends
+with a traceback and status 1.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .words import Word
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
-# j caps for the synthesis commands; term counts grow like B_j (13144 terms
-# already at j = 11) so anything past this needs an explicit override
+# j caps for the synthesis commands; term counts grow like the bound B_j
+# (B_11 = 13144; P_11 has 13082 terms) so anything past this needs an
+# explicit override
 DESK_SCALE_JMAX = 12
 
 
@@ -50,13 +53,13 @@ class UsageError(ValueError):
     """Raised by handlers for invalid inputs; mapped to exit status 2."""
 
 
-def _parse_word(text: str, p: int) -> Word:
+def _parse_admissible(text: str, p: int) -> Word:
     try:
         w = Word.parse(text, p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if any(d >= p for d in w.digits):
-        raise UsageError(f"not a word over digits 0..{p - 1}: {text!r}")
+    if not w.is_admissible:
+        raise UsageError(f"not an admissible word for base {p}: {w}")
     return w
 
 
@@ -75,9 +78,7 @@ def _parse_monomial(text: str, p: int) -> Monomial:
                 raise UsageError(f"exponent must be >= 1 in {part!r}")
         else:
             body, exp = part, 1
-        w = _parse_word(body, p)
-        if w.is_empty:
-            raise UsageError("the empty word cannot appear in a monomial")
+        w = _parse_admissible(body, p)
         powers[w] = powers.get(w, 0) + exp
     return Monomial.of(powers.items())
 
@@ -92,10 +93,6 @@ def _jobs(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     return jobs
-
-
-def _csv_writer(stream):
-    return csv.writer(stream)
 
 
 def _format_complex(z: complex | None) -> str:
@@ -139,7 +136,7 @@ def cmd_poly(args: argparse.Namespace, stream) -> int:
         obj["cumulative"] = bool(args.cumulative)
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["monomial", "coeff"])
         for mono, coeff in poly.sorted_terms():
             writer.writerow([str(mono), rational_to_str(coeff)])
@@ -162,7 +159,7 @@ def cmd_theta(args: argparse.Namespace, stream) -> int:
             obj = {"p": args.p, "n": args.n, "j": args.j, "count": count}
             _emit_json(obj, stream)
         elif args.format == "csv":
-            writer = _csv_writer(stream)
+            writer = csv.writer(stream)
             writer.writerow(["j", "count"])
             writer.writerow([args.j, count])
         else:
@@ -173,7 +170,7 @@ def cmd_theta(args: argparse.Namespace, stream) -> int:
     if args.format == "json":
         _emit_json({"p": args.p, "n": args.n, "coefficients": counts}, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["j", "count"])
         for j, c in enumerate(counts):
             writer.writerow([j, c])
@@ -186,9 +183,7 @@ def cmd_theta(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_rw(args: argparse.Namespace, stream) -> int:
-    w = _parse_word(args.word, args.p)
-    if not w.is_admissible:
-        raise UsageError(f"not an admissible word for base {args.p}: {w}")
+    w = _parse_admissible(args.word, args.p)
     rf = r_w_quotient(w)
     if args.format == "json":
         obj = {
@@ -199,7 +194,7 @@ def cmd_rw(args: argparse.Namespace, stream) -> int:
         }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["part", "text"])
         writer.writerow(["numerator", rf.num.text()])
         writer.writerow(["denominator", rf.den.text()])
@@ -241,7 +236,7 @@ def cmd_coeffs(args: argparse.Namespace, stream) -> int:
             }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["j", "coeff"])
         for j, c in enumerate(series.coeffs):
             writer.writerow([j, rational_to_str(c)])
@@ -289,7 +284,7 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
         }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["check", "ok", "counterexample"])
         for name, ok, bad in checks:
             writer.writerow([name, ok, "" if bad is None else str(bad)])
@@ -325,7 +320,7 @@ def cmd_terms(args: argparse.Namespace, stream) -> int:
         }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["j", "actual", "bound"])
         for j, (n_j, b_j) in enumerate(zip(actual, bound)):
             writer.writerow([j, n_j, b_j])
@@ -373,14 +368,12 @@ def cmd_classify(args: argparse.Namespace, stream) -> int:
     if args.tol <= 0:
         raise UsageError("tol must be positive")
     if args.word is not None:
-        w = _parse_word(args.word, args.p)
-        if not w.is_admissible:
-            raise UsageError(f"not an admissible word for base {args.p}: {w}")
+        w = _parse_admissible(args.word, args.p)
         profile = classify_word(w, tol=args.tol)
         if args.format == "json":
             _emit_json(_profile_json(profile), stream)
         elif args.format == "csv":
-            writer = _csv_writer(stream)
+            writer = csv.writer(stream)
             writer.writerow(CLASSIFY_HEADER)
             writer.writerow(_classify_row(profile))
         else:
@@ -416,7 +409,7 @@ def cmd_classify(args: argparse.Namespace, stream) -> int:
         }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(CLASSIFY_HEADER)
         for profile in report.profiles:
             writer.writerow(_classify_row(profile))
@@ -456,7 +449,7 @@ def cmd_tildetheta(args: argparse.Namespace, stream) -> int:
         }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(["k"] + [str(n) for n in range(args.nmax + 1)])
         for k, row in enumerate(table):
             writer.writerow([k] + row)
@@ -512,7 +505,7 @@ def cmd_columns(args: argparse.Namespace, stream) -> int:
         }
         _emit_json(obj, stream)
     elif args.format == "csv":
-        writer = _csv_writer(stream)
+        writer = csv.writer(stream)
         writer.writerow(
             ["t", "j", "count", "estimate", "prediction", "deviation"]
         )
@@ -720,9 +713,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args, sys.stdout)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -257,9 +257,11 @@ def column_scan(
 ) -> tuple[ColumnCheckReport, ...]:
     """column_check for every t <= t_max."""
     argses = [(t, j_max, m_max, tol) for t in range(t_max + 1)]
+    # one digit-sum table for the widest column, sliced by every t
+    _digit_sum_table(m_max + t_max, 2)
     if jobs <= 1:
         return tuple(column_check(*a) for a in argses)
-    # prime the polynomial cache in the parent; workers rebuild their own
+    # prime the polynomial cache in the parent; forked workers inherit both
     block_polynomial(2, j_max)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return tuple(pool.map(_column_check_args, argses))
@@ -294,6 +296,8 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     from .synth import block_polynomials_up_to
     from .words import counting_factor_counts, expand
 
+    # one digit-sum table for the widest row, before forked workers start
+    _digit_sum_table(n_max, p)
     triple_ok, triple_bad = triple_agreement_scan(p, n_max, jobs)
 
     rows_bad = None

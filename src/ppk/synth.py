@@ -23,13 +23,14 @@ assembles the polynomials exactly.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
-from .theta import Tbar, theta0
+from .theta import Tbar, _ext_pair, theta0
 from .words import (
     Word,
     counting_factor_counts,
@@ -95,35 +96,23 @@ def r_w_closed(w: Word) -> RationalFunctionQ:
     return RationalFunctionQ(num, den)
 
 
-_LOG_CACHE: dict[tuple[int, tuple[int, ...], int], SeriesQ] = {}
-_RW_Q_CACHE: dict[tuple[int, tuple[int, ...], int], SeriesQ] = {}
-
-
+@functools.cache
 def log_rw_series(w: Word, order: int) -> SeriesQ:
     """log r_w as a series, from the closed form of r_w."""
-    key = (w.p, w.digits, order)
-    hit = _LOG_CACHE.get(key)
-    if hit is None:
-        wl, wr, _ = truncations(w)
-        den = Tbar(w.p, wl) * Tbar(w.p, wr)
-        num = den + PolyQ.monomial(alpha_coefficient(w), len(w.digits) - 1)
-        s = SeriesQ.from_poly(num, order) / SeriesQ.from_poly(den, order)
-        hit = s.log()
-        _LOG_CACHE[key] = hit
-    return hit
+    wl, wr, _ = truncations(w)
+    den = Tbar(w.p, wl) * Tbar(w.p, wr)
+    num = den + PolyQ.monomial(alpha_coefficient(w), len(w.digits) - 1)
+    s = SeriesQ.from_poly(num, order) / SeriesQ.from_poly(den, order)
+    return s.log()
 
 
+@functools.cache
 def _rw_series_from_quotient(w: Word, order: int) -> SeriesQ:
     """Series of r_w built from the defining quotient (no closed form used)."""
-    key = (w.p, w.digits, order)
-    hit = _RW_Q_CACHE.get(key)
-    if hit is None:
-        wl, wr, wlr = truncations(w)
-        num = Tbar(w.p, w) * Tbar(w.p, wlr)
-        den = Tbar(w.p, wr) * Tbar(w.p, wl)
-        hit = SeriesQ.from_poly(num, order) / SeriesQ.from_poly(den, order)
-        _RW_Q_CACHE[key] = hit
-    return hit
+    wl, wr, wlr = truncations(w)
+    num = Tbar(w.p, w) * Tbar(w.p, wlr)
+    den = Tbar(w.p, wr) * Tbar(w.p, wl)
+    return SeriesQ.from_poly(num, order) / SeriesQ.from_poly(den, order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,26 +165,41 @@ class Monomial:
         return "*".join(parts)
 
 
-def monomials_up_to_weight(p: int, jmax: int) -> list[Monomial]:
-    """All monomials of total weight <= jmax (constant included), in canonical
-    order."""
-    words = enumerate_admissible(p, jmax)
+def _monomial_tree(
+    words: Sequence[Word],
+    jmax: int,
+    root: object = None,
+    extend: Callable[[object, int, int], object] = lambda value, i, k: value,
+) -> Iterator[tuple[Monomial, object]]:
+    """Depth-first walk over the monomials of total weight <= jmax in words
+    (sorted by length), yielding (monomial, value).
+
+    The constant monomial carries ``root``; appending X_{words[i]}^k to a
+    node carries ``extend(v, i, k)``, with v the value for exponent k - 1.
+    """
     wts = [len(w.digits) - 1 for w in words]
-    out: list[Monomial] = []
     factors: list[tuple[Word, int]] = []
 
-    def rec(idx: int, budget: int) -> None:
-        out.append(Monomial(tuple(factors)))
+    def rec(idx: int, budget: int, value: object):
+        yield Monomial(tuple(factors)), value
         for i in range(idx, len(words)):
             wt = wts[i]
             if wt > budget:
                 break
+            v = value
             for k in range(1, budget // wt + 1):
+                v = extend(v, i, k)
                 factors.append((words[i], k))
-                rec(i + 1, budget - k * wt)
+                yield from rec(i + 1, budget - k * wt, v)
                 factors.pop()
 
-    rec(0, jmax)
+    return rec(0, jmax, root)
+
+
+def monomials_up_to_weight(p: int, jmax: int) -> list[Monomial]:
+    """All monomials of total weight <= jmax (constant included), in canonical
+    order."""
+    out = [mono for mono, _ in _monomial_tree(enumerate_admissible(p, jmax), jmax)]
     out.sort(key=Monomial.sort_key)
     return out
 
@@ -301,31 +305,15 @@ def block_polynomials_up_to(p: int, jmax: int) -> list[BlockPolynomial]:
     """
     words = enumerate_admissible(p, jmax)
     logs = [log_rw_series(w, jmax) for w in words]
-    wts = [len(w.digits) - 1 for w in words]
     tables: list[dict[Monomial, Fraction]] = [{} for _ in range(jmax + 1)]
-    factors: list[tuple[Word, int]] = []
-
-    def record(series: SeriesQ) -> None:
-        mono = Monomial(tuple(factors))
+    walk = _monomial_tree(
+        words, jmax, SeriesQ.one(jmax), lambda s, i, k: (s * logs[i]) / k
+    )
+    for mono, series in walk:
         for j in range(mono.weight, jmax + 1):
             c = series.coeffs[j]
             if c:
                 tables[j][mono] = c
-
-    def rec(idx: int, budget: int, series: SeriesQ) -> None:
-        record(series)
-        for i in range(idx, len(words)):
-            wt = wts[i]
-            if wt > budget:
-                break
-            s = series
-            for k in range(1, budget // wt + 1):
-                s = (s * logs[i]) / k
-                factors.append((words[i], k))
-                rec(i + 1, budget - k * wt, s)
-                factors.pop()
-
-    rec(0, jmax, SeriesQ.one(jmax))
     out = []
     for j in range(jmax + 1):
         ordered = dict(sorted(tables[j].items(), key=lambda kv: kv[0].sort_key()))
@@ -410,24 +398,13 @@ def telescope_random_check(
 # The scan walks the digit trie of counting words once, carrying the pairs
 # (T_u, T_{u-1}) for the prefix u and its suffix u_L, so each word costs a
 # constant number of polynomial operations.  Polynomials ride in single
-# integers with 64-bit coefficient lanes (coefficients stay below 2^46 for
-# base 5, length 9), which makes products one machine bigint multiply.
+# integers packed by theta._ext_pair, with lanes of L = bit_length of
+# p^(2 max_len) bits.  Every coefficient on either side is nonnegative and
+# at most T_w(1) T_{w_LR}(1) <= p^(2 mu - 2) <= p^(2 max_len) / 4 < 2^(L-2).
+# So the true alpha term is below 2^(L-2), and while the expected one is
+# below 2^(L-1) no lane carries and the integer compare is exact; a word
+# whose expected term reaches 2^(L-1) fails without a compare.
 # ---------------------------------------------------------------------------
-
-_LANE = 64
-
-
-def _ext_pair(pair: tuple[int, int], tz: int, a: int, p: int) -> tuple[int, int]:
-    """Extend packed (T_n, T_{n-1}) for a prefix with tz trailing zeros by
-    digit a, giving (T_{pn+a}, T_{pn+a-1})."""
-    tn, tn1 = pair
-    sh = _LANE * (tz + 1)
-    if a == 0:
-        return tn + (((p - 1) * tn1) << sh), p * tn1
-    return (
-        (a + 1) * tn + (((p - a - 1) * tn1) << sh),
-        a * tn + (((p - a) * tn1) << sh),
-    )
 
 
 def rw_identity_scan(p: int, max_len: int) -> tuple[int, list[Word]]:
@@ -436,18 +413,20 @@ def rw_identity_scan(p: int, max_len: int) -> tuple[int, list[Word]]:
     failures: list[Word] = []
     checked = 0
     digits: list[int] = []
+    lane = (p ** (2 * max_len)).bit_length()
+    half_lane = 1 << (lane - 1)
 
     def rec(depth, pair, tz, cf, lpair, cl):
         nonlocal checked
         if depth == max_len:
             return
         for a in range(p):
-            child_pair = _ext_pair(pair, tz, a, p)
+            child_pair = _ext_pair(pair, tz, a, p, lane)
             if lpair is None:
                 child_l = None if a == 0 else (a + 1, a)
                 child_cl = 1 if a == 0 else a + 1
             else:
-                child_l = _ext_pair(lpair, tz, a, p)
+                child_l = _ext_pair(lpair, tz, a, p, lane)
                 child_cl = cl * (a + 1)
             if a != p - 1:
                 checked += 1
@@ -460,11 +439,11 @@ def rw_identity_scan(p: int, max_len: int) -> tuple[int, list[Word]]:
                     if v:
                         aden *= (v + 1) ** 2
                 expected = Fraction(c_w * c_wlr * anum, aden)
-                ok = expected.denominator == 1
+                ok = expected.denominator == 1 and expected < half_lane
                 if ok:
                     lhs = child_pair[0] * (lpair[0] if lpair is not None else 1)
                     rhs = (child_l[0] if child_l is not None else 1) * pair[0]
-                    ok = lhs == rhs + (int(expected) << (_LANE * depth))
+                    ok = lhs == rhs + (int(expected) << (lane * depth))
                 if not ok:
                     failures.append(Word(p, tuple(digits) + (a,)))
             digits.append(a)

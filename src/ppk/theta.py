@@ -17,14 +17,33 @@ function into an explicit infinite product (``tilde_product_table``).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Union
 
 from .ratcore import PolyQ
 from .words import Word, digit_sum, expand, padic_valuation
 
-_T_CACHE: dict[tuple[int, int], PolyQ] = {}
-_TILDE_CACHE: dict[tuple[int, int, int], int] = {}
+
+def _ext_pair(
+    pair: tuple[int, int], tz: int, a: int, p: int, lane: int
+) -> tuple[int, int]:
+    """Extend (T_n, T_{n-1}) for a prefix n with tz trailing zero digits by
+    digit a, giving (T_{pn+a}, T_{pn+a-1}).
+
+    Each polynomial rides in one integer, coefficient i in bits
+    [lane*i, lane*(i+1)), so products are single bigint operations.  All
+    coefficients are nonnegative; the caller picks a lane wider than every
+    coefficient it builds, or neighbouring lanes carry into each other.
+    """
+    tn, tn1 = pair
+    sh = lane * (tz + 1)
+    if a == 0:
+        return tn + (((p - 1) * tn1) << sh), p * tn1
+    return (
+        (a + 1) * tn + (((p - a - 1) * tn1) << sh),
+        a * tn + (((p - a) * tn1) << sh),
+    )
 
 
 def T_poly(p: int, n: int) -> PolyQ:
@@ -33,20 +52,18 @@ def T_poly(p: int, n: int) -> PolyQ:
         raise ValueError("base must be >= 2")
     if n < 0:
         raise ValueError("row index must be >= 0")
-    if n < p:
-        return PolyQ((n + 1,))
-    key = (p, n)
-    cached = _T_CACHE.get(key)
-    if cached is not None:
-        return cached
-    m, a = divmod(n, p)
-    t = T_poly(p, m) * (a + 1)
-    rest = p - a - 1
-    if rest:
-        shift = padic_valuation(m, p) + 1
-        t = t + PolyQ.monomial(rest, shift) * T_poly(p, m - 1)
-    _T_CACHE[key] = t
-    return t
+    # a row m <= n has T_m(1) = m + 1 entries, which bounds every coefficient
+    lane = (n + 1).bit_length()
+    pair, tz = (1, 0), 0  # (T_0, T_{-1}) for the empty prefix
+    for a in expand(n, p).digits:
+        pair = _ext_pair(pair, tz, a, p, lane)
+        tz = tz + 1 if a == 0 else 0
+    packed, mask = pair[0], (1 << lane) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= lane
+    return PolyQ(coeffs)
 
 
 def theta(p: int, j: int, n: int) -> int:
@@ -94,6 +111,7 @@ def psi(p: int, j: int, n: int) -> int:
     return theta(p, j - v, n)
 
 
+@functools.cache
 def tilde_theta(p: int, k: int, n: int) -> int:
     """Digit-sum re-indexing: theta with j = (k - s_p(n)) / (p - 1).
 
@@ -108,14 +126,8 @@ def tilde_theta(p: int, k: int, n: int) -> int:
         return 1 if k == 0 else 0
     if k == 0:
         return 0
-    key = (p, k, n)
-    cached = _TILDE_CACHE.get(key)
-    if cached is not None:
-        return cached
     m, a = divmod(n, p)
-    out = (a + 1) * tilde_theta(p, k - a, m) + (p - a - 1) * tilde_theta(p, k - p - a, m - 1)
-    _TILDE_CACHE[key] = out
-    return out
+    return (a + 1) * tilde_theta(p, k - a, m) + (p - a - 1) * tilde_theta(p, k - p - a, m - 1)
 
 
 def tilde_table(p: int, kmax: int, nmax: int) -> list[list[int]]:

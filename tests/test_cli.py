@@ -250,6 +250,10 @@ class TestExitCodes:
             ("coeffs", "--monomial", "1010", "--sum"),  # divergent sum
             ("coeffs", "--monomial", "10^0"),
             ("coeffs", "--monomial", "10^2*110", "--order", "2"),
+            ("coeffs", "--monomial", "11"),  # not admissible
+            ("coeffs", "--monomial", "0"),
+            ("coeffs", "--monomial", "01"),
+            ("coeffs", "--monomial", "10*11"),
             ("classify",),  # needs exactly one selector
             ("classify", "--word", "10", "--maxlen", "4"),
             ("classify", "--maxlen", "1"),
@@ -264,6 +268,15 @@ class TestExitCodes:
             code, _, err = cli(*argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv
+
+    def test_internal_errors_propagate(self, monkeypatch):
+        # a library ValueError is a fault, not rejected input: no exit 2
+        def broken(p, j):
+            raise ValueError("internal")
+
+        monkeypatch.setattr("ppk.cli.block_polynomial", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["poly", "--j", "2"])
 
     def test_argparse_rejections(self, cli):
         for argv in (

@@ -92,6 +92,8 @@ class TestAlphaAndRw:
         assert (checked, bad) == (31, [])
         checked, bad = rw_identity_scan(3, 4)
         assert (checked, bad) == (52, [])
+        checked, bad = rw_identity_scan(7, 4)
+        assert (checked, bad) == (2052, [])
 
 
 class TestLogSeries:

@@ -104,18 +104,26 @@ class TestRowPolynomials:
             p = rng.choice(PRIMES)
             n = rng.randrange(0, 4000)
             assert T_poly(p, n)(1) == n + 1
+        # rows whose coefficients need more than 64 bits
+        assert T_poly(2, 2**70 - 1) == PolyQ([2**70])
+        assert T_poly(3, 3**45 + 5)(1) == 3**45 + 6
 
     def test_carry_recurrence(self):
         # splitting off the last digit a of p n + a
+        def holds(p, n, a):
+            lhs = T_poly(p, p * n + a)
+            shift = PolyQ.monomial(1, padic_valuation(n, p) + 1)
+            rhs = (a + 1) * T_poly(p, n) + (p - a - 1) * shift * T_poly(p, n - 1)
+            return lhs == rhs
+
         rng = random.Random(31)
         for _ in range(150):
             p = rng.choice(PRIMES)
             n = rng.randrange(1, 700)
-            a = rng.randrange(p)
-            lhs = T_poly(p, p * n + a)
-            shift = PolyQ.monomial(1, padic_valuation(n, p) + 1)
-            rhs = (a + 1) * T_poly(p, n) + (p - a - 1) * shift * T_poly(p, n - 1)
-            assert lhs == rhs
+            assert holds(p, n, rng.randrange(p))
+        # coefficients beyond 64 bits
+        for a in range(5):
+            assert holds(5, 5**28 + 17, a)
 
     def test_degree_formula(self):
         # n = c p^lam + m with leading digit c: deg = lam - v_p(m + 1)
