@@ -211,6 +211,8 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
     words get coefficient_sum = log r_w(1) attached (valid up to the radius,
     and at 1 by continuity).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     if not w.is_admissible:
         raise ValueError(f"classification needs an admissible word: {w}")
     rf = r_w_quotient(w)

@@ -3,9 +3,11 @@
 Subcommands cover polynomial synthesis (poly, terms), row counting (theta,
 tildetheta), the building-block rational functions and their coefficient
 series (rw, coeffs), convergence classification (classify), and the two
-verification drivers (verify, columns).  Output is deterministic for a fixed
-set of flags: every collection is emitted in its canonical order, floats are
-printed with repr, and JSON objects use a fixed key layout.
+verification drivers (verify, columns).  Each handler validates its input,
+computes, and returns an ``Output``; ``main`` prints it in the chosen format.
+Output is deterministic for a fixed set of flags: every collection is emitted
+in its canonical order, floats are printed with repr, and JSON objects use a
+fixed key layout.
 
 Exit status: 0 on success, 1 when a verification run finds a counterexample,
 2 when the input is rejected (unknown words, unsupported primes,
@@ -18,8 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .analysis import (
     ConvergenceError,
@@ -95,6 +100,20 @@ def _jobs(args: argparse.Namespace) -> int:
     return jobs
 
 
+def _tol(args: argparse.Namespace) -> float:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError("tol must be positive and finite")
+    return args.tol
+
+
+def _check_cap(name: str, value: int, force: bool) -> None:
+    if value > DESK_SCALE_JMAX and not force:
+        raise UsageError(
+            f"{name} = {value} exceeds the default cap {DESK_SCALE_JMAX}; "
+            "pass --force to build anyway"
+        )
+
+
 def _format_complex(z: complex | None) -> str:
     if z is None:
         return ""
@@ -108,108 +127,124 @@ def _complex_json(z: complex | None) -> list[float] | None:
     return None if z is None else [z.real, z.imag]
 
 
-def _emit_json(obj, stream) -> None:
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
+# -- output ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Output:
+    """What a handler prints, one builder per format, and its exit status.
+
+    ``json`` returns the JSON object, ``csv`` the rows (header first) and
+    ``text`` the lines without newlines.  Only the builder of the printed
+    format is called, so no run pays for another format.  A handler raises
+    ``UsageError`` before it returns, never from a builder, so rejected
+    input prints nothing on stdout.
+    """
+
+    json: Callable[[], object]
+    csv: Callable[[], Iterable[Sequence[object]]]
+    text: Callable[[], Iterable[str]]
+    status: int = 0
+
+
+def _write(out: Output, fmt: str, stream: TextIO) -> int:
+    if fmt == "json":
+        json.dump(out.json(), stream, indent=2)
+        stream.write("\n")
+    elif fmt == "csv":
+        csv.writer(stream).writerows(out.csv())
+    else:
+        for line in out.text():
+            stream.write(line + "\n")
+    return out.status
 
 
 # -- poly ------------------------------------------------------------------
 
 
-def cmd_poly(args: argparse.Namespace, stream) -> int:
+def cmd_poly(args: argparse.Namespace) -> Output:
     if args.j < 0:
         raise UsageError("j must be >= 0")
     if args.cumulative and args.j < 1:
         raise UsageError("cumulative polynomials need j >= 1")
-    if args.j > DESK_SCALE_JMAX and not args.force:
-        raise UsageError(
-            f"j = {args.j} exceeds the default cap {DESK_SCALE_JMAX}; "
-            "pass --force to build anyway"
-        )
+    _check_cap("j", args.j, args.force)
     poly = (
         cumulative_polynomial(args.p, args.j)
         if args.cumulative
         else block_polynomial(args.p, args.j)
     )
-    if args.format == "json":
-        obj = poly.json_obj()
-        obj["cumulative"] = bool(args.cumulative)
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["monomial", "coeff"])
+
+    def as_csv():
+        yield ["monomial", "coeff"]
         for mono, coeff in poly.sorted_terms():
-            writer.writerow([str(mono), rational_to_str(coeff)])
-    else:
-        stream.write(poly.text() + "\n")
-    return 0
+            yield [str(mono), rational_to_str(coeff)]
+
+    return Output(
+        json=lambda: {**poly.json_obj(), "cumulative": args.cumulative},
+        csv=as_csv,
+        text=lambda: [poly.text()],
+    )
 
 
 # -- theta -----------------------------------------------------------------
 
 
-def cmd_theta(args: argparse.Namespace, stream) -> int:
+def cmd_theta(args: argparse.Namespace) -> Output:
     if args.n < 0:
         raise UsageError("n must be >= 0")
     if args.j is not None:
         if args.j < 0:
             raise UsageError("j must be >= 0")
         count = theta(args.p, args.j, args.n)
-        if args.format == "json":
-            obj = {"p": args.p, "n": args.n, "j": args.j, "count": count}
-            _emit_json(obj, stream)
-        elif args.format == "csv":
-            writer = csv.writer(stream)
-            writer.writerow(["j", "count"])
-            writer.writerow([args.j, count])
-        else:
-            stream.write(f"{count}\n")
-        return 0
+        return Output(
+            json=lambda: {
+                "p": args.p,
+                "n": args.n,
+                "j": args.j,
+                "count": count,
+            },
+            csv=lambda: [["j", "count"], [args.j, count]],
+            text=lambda: [str(count)],
+        )
     poly = T_poly(args.p, args.n)
     counts = [int(c) for c in poly.coeffs]
-    if args.format == "json":
-        _emit_json({"p": args.p, "n": args.n, "coefficients": counts}, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["j", "count"])
-        for j, c in enumerate(counts):
-            writer.writerow([j, c])
-    else:
-        stream.write(poly.text() + "\n")
-    return 0
+    return Output(
+        json=lambda: {"p": args.p, "n": args.n, "coefficients": counts},
+        csv=lambda: [["j", "count"], *enumerate(counts)],
+        text=lambda: [poly.text()],
+    )
 
 
 # -- rw --------------------------------------------------------------------
 
 
-def cmd_rw(args: argparse.Namespace, stream) -> int:
+def cmd_rw(args: argparse.Namespace) -> Output:
     w = _parse_admissible(args.word, args.p)
     rf = r_w_quotient(w)
-    if args.format == "json":
-        obj = {
+    return Output(
+        json=lambda: {
             "p": args.p,
             "word": str(w),
             "numerator": [rational_to_str(c) for c in rf.num.coeffs],
             "denominator": [rational_to_str(c) for c in rf.den.coeffs],
-        }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["part", "text"])
-        writer.writerow(["numerator", rf.num.text()])
-        writer.writerow(["denominator", rf.den.text()])
-    else:
-        stream.write(f"({rf.num.text()}) / ({rf.den.text()})\n")
-    return 0
+        },
+        csv=lambda: [
+            ["part", "text"],
+            ["numerator", rf.num.text()],
+            ["denominator", rf.den.text()],
+        ],
+        text=lambda: [f"({rf.num.text()}) / ({rf.den.text()})"],
+    )
 
 
 # -- coeffs ----------------------------------------------------------------
 
 
-def cmd_coeffs(args: argparse.Namespace, stream) -> int:
+def cmd_coeffs(args: argparse.Namespace) -> Output:
     mono = _parse_monomial(args.monomial, args.p)
     if mono.is_constant:
         raise UsageError("the constant monomial has no coefficient series")
+    tol = _tol(args)
     order = args.order if args.order is not None else max(args.j, mono.weight)
     if order < mono.weight:
         raise UsageError(
@@ -219,10 +254,11 @@ def cmd_coeffs(args: argparse.Namespace, stream) -> int:
     total = None
     if args.sum:
         try:
-            total = coefficient_sum(mono, tol=args.tol)
+            total = coefficient_sum(mono, tol=tol)
         except ConvergenceError as exc:
             raise UsageError(str(exc)) from exc
-    if args.format == "json":
+
+    def as_json() -> dict:
         obj = {
             "p": args.p,
             "monomial": str(mono),
@@ -234,28 +270,28 @@ def cmd_coeffs(args: argparse.Namespace, stream) -> int:
                 "value": total.value,
                 "error_bound": total.error_bound,
             }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["j", "coeff"])
+        return obj
+
+    def as_csv():
+        yield ["j", "coeff"]
         for j, c in enumerate(series.coeffs):
-            writer.writerow([j, rational_to_str(c)])
+            yield [j, rational_to_str(c)]
         if total is not None:
-            writer.writerow(["sum", repr(total.value)])
-    else:
+            yield ["sum", repr(total.value)]
+
+    def as_text():
         for j, c in enumerate(series.coeffs):
-            stream.write(f"{j}: {rational_to_str(c)}\n")
+            yield f"{j}: {rational_to_str(c)}"
         if total is not None:
-            stream.write(
-                f"sum = {total.value!r} (error <= {total.error_bound!r})\n"
-            )
-    return 0
+            yield f"sum = {total.value!r} (error <= {total.error_bound!r})"
+
+    return Output(as_json, as_csv, as_text)
 
 
 # -- verify ----------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace, stream) -> int:
+def cmd_verify(args: argparse.Namespace) -> Output:
     from .oracle import equivalence_report
 
     if args.nmax < 1:
@@ -266,68 +302,58 @@ def cmd_verify(args: argparse.Namespace, stream) -> int:
         ("row counts", report.rows_ok, report.rows_counterexample),
         ("polynomial identity", report.poly_ok, report.poly_counterexample),
     ]
-    if args.format == "json":
-        obj = {
+
+    def as_text():
+        for name, ok, bad in checks:
+            yield f"{name}: {'ok' if ok else f'FAIL at {bad}'}"
+        yield "ok" if report.ok else "FAIL"
+
+    return Output(
+        json=lambda: {
             "p": report.p,
             "n_max": report.n_max,
             "checks": [
-                {
-                    "name": name,
-                    "ok": ok,
-                    "counterexample": list(bad)
-                    if isinstance(bad, tuple)
-                    else bad,
-                }
+                {"name": name, "ok": ok, "counterexample": bad}
                 for name, ok, bad in checks
             ],
             "ok": report.ok,
-        }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["check", "ok", "counterexample"])
-        for name, ok, bad in checks:
-            writer.writerow([name, ok, "" if bad is None else str(bad)])
-    else:
-        for name, ok, bad in checks:
-            line = f"{name}: {'ok' if ok else f'FAIL at {bad}'}"
-            stream.write(line + "\n")
-        stream.write(("ok" if report.ok else "FAIL") + "\n")
-    return 0 if report.ok else 1
+        },
+        csv=lambda: [
+            ["check", "ok", "counterexample"],
+            *(
+                [name, ok, "" if bad is None else bad]
+                for name, ok, bad in checks
+            ),
+        ],
+        text=as_text,
+        status=0 if report.ok else 1,
+    )
 
 
 # -- terms -----------------------------------------------------------------
 
 
-def cmd_terms(args: argparse.Namespace, stream) -> int:
+def cmd_terms(args: argparse.Namespace) -> Output:
     if args.jmax < 0:
         raise UsageError("jmax must be >= 0")
-    if args.jmax > DESK_SCALE_JMAX and not args.force:
-        raise UsageError(
-            f"jmax = {args.jmax} exceeds the default cap {DESK_SCALE_JMAX}; "
-            "pass --force to build anyway"
-        )
+    _check_cap("jmax", args.jmax, args.force)
     actual = [
         poly.term_count for poly in block_polynomials_up_to(args.p, args.jmax)
     ]
     bound = term_bound_series(args.p, args.jmax)
-    if args.format == "json":
-        obj = {
+    return Output(
+        json=lambda: {
             "p": args.p,
             "j_max": args.jmax,
             "actual": actual,
             "bound": bound,
-        }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["j", "actual", "bound"])
-        for j, (n_j, b_j) in enumerate(zip(actual, bound)):
-            writer.writerow([j, n_j, b_j])
-    else:
-        stream.write(",".join(str(v) for v in actual) + "\n")
-        stream.write(",".join(str(v) for v in bound) + "\n")
-    return 0
+        },
+        csv=lambda: [
+            ["j", "actual", "bound"],
+            *zip(range(args.jmax + 1), actual, bound),
+        ],
+        text=lambda: [",".join(map(str, actual)), ",".join(map(str, bound))],
+    )
 
 
 # -- classify --------------------------------------------------------------
@@ -362,76 +388,71 @@ def _profile_json(profile: RootProfile) -> dict:
     }
 
 
-def cmd_classify(args: argparse.Namespace, stream) -> int:
+def _profile_text(profile: RootProfile):
+    yield f"word: {profile.word}"
+    yield f"class: {profile.classification}"
+    yield f"max xi modulus: {profile.max_xi_modulus!r}"
+    yield "dominant singularity: " + _format_complex(
+        profile.dominant_singularity
+    )
+    if profile.coefficient_sum is not None:
+        yield f"coefficient sum: {profile.coefficient_sum!r}"
+
+
+def _listing(label: str, words) -> str:
+    joined = " ".join(str(w) for w in words)
+    tail = f" {joined}" if joined else ""
+    return f"{label} ({len(words)}):{tail}"
+
+
+def cmd_classify(args: argparse.Namespace) -> Output:
     if (args.word is None) == (args.maxlen is None):
         raise UsageError("pass exactly one of --word and --maxlen")
-    if args.tol <= 0:
-        raise UsageError("tol must be positive")
+    tol = _tol(args)
     if args.word is not None:
         w = _parse_admissible(args.word, args.p)
-        profile = classify_word(w, tol=args.tol)
-        if args.format == "json":
-            _emit_json(_profile_json(profile), stream)
-        elif args.format == "csv":
-            writer = csv.writer(stream)
-            writer.writerow(CLASSIFY_HEADER)
-            writer.writerow(_classify_row(profile))
-        else:
-            stream.write(f"word: {profile.word}\n")
-            stream.write(f"class: {profile.classification}\n")
-            stream.write(f"max xi modulus: {profile.max_xi_modulus!r}\n")
-            stream.write(
-                "dominant singularity: "
-                f"{_format_complex(profile.dominant_singularity)}\n"
-            )
-            if profile.coefficient_sum is not None:
-                stream.write(
-                    f"coefficient sum: {profile.coefficient_sum!r}\n"
-                )
-        return 0
+        profile = classify_word(w, tol=tol)
+        return Output(
+            json=lambda: _profile_json(profile),
+            csv=lambda: [CLASSIFY_HEADER, _classify_row(profile)],
+            text=lambda: _profile_text(profile),
+        )
     if args.maxlen < 2:
         raise UsageError("maxlen must be >= 2")
-    report = scan_convergent_words(args.p, args.maxlen, tol=args.tol)
-    if args.format == "json":
-        obj = {
+    report = scan_convergent_words(args.p, args.maxlen, tol=tol)
+    families = sorted(report.families.items())
+
+    def as_text():
+        yield f"checked: {report.checked}"
+        yield f"divergent: {report.divergent_count}"
+        for name, words in families:
+            yield _listing(f"family {name}", words)
+        yield _listing("exceptional", report.exceptional)
+        yield _listing("boundary", report.boundary)
+
+    return Output(
+        json=lambda: {
             "p": report.p,
             "max_len": report.max_len,
             "tol": report.tol,
             "checked": report.checked,
             "divergent": report.divergent_count,
             "families": {
-                name: [str(w) for w in words]
-                for name, words in sorted(report.families.items())
+                name: [str(w) for w in words] for name, words in families
             },
             "exceptional": [str(w) for w in report.exceptional],
             "boundary": [str(w) for w in report.boundary],
             "profiles": [_profile_json(pr) for pr in report.profiles],
-        }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(CLASSIFY_HEADER)
-        for profile in report.profiles:
-            writer.writerow(_classify_row(profile))
-    else:
-        def listing(label: str, words) -> str:
-            joined = " ".join(str(w) for w in words)
-            tail = f" {joined}" if joined else ""
-            return f"{label} ({len(words)}):{tail}\n"
-
-        stream.write(f"checked: {report.checked}\n")
-        stream.write(f"divergent: {report.divergent_count}\n")
-        for name, words in sorted(report.families.items()):
-            stream.write(listing(f"family {name}", words))
-        stream.write(listing("exceptional", report.exceptional))
-        stream.write(listing("boundary", report.boundary))
-    return 0
+        },
+        csv=lambda: [CLASSIFY_HEADER, *map(_classify_row, report.profiles)],
+        text=as_text,
+    )
 
 
 # -- tildetheta ------------------------------------------------------------
 
 
-def cmd_tildetheta(args: argparse.Namespace, stream) -> int:
+def cmd_tildetheta(args: argparse.Namespace) -> Output:
     if args.kmax < 0 or args.nmax < 0:
         raise UsageError("kmax and nmax must be >= 0")
     table = (
@@ -439,62 +460,63 @@ def cmd_tildetheta(args: argparse.Namespace, stream) -> int:
         if args.product
         else tilde_table(args.p, args.kmax, args.nmax)
     )
-    if args.format == "json":
-        obj = {
+    return Output(
+        json=lambda: {
             "p": args.p,
             "k_max": args.kmax,
             "n_max": args.nmax,
-            "product": bool(args.product),
+            "product": args.product,
             "rows": table,
-        }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["k"] + [str(n) for n in range(args.nmax + 1)])
-        for k, row in enumerate(table):
-            writer.writerow([k] + row)
-    else:
-        for row in table:
-            stream.write(",".join(str(v) for v in row) + "\n")
-    return 0
+        },
+        csv=lambda: [
+            ["k", *range(args.nmax + 1)],
+            *([k, *row] for k, row in enumerate(table)),
+        ],
+        text=lambda: [",".join(map(str, row)) for row in table],
+    )
 
 
 # -- columns ---------------------------------------------------------------
 
 
-def cmd_columns(args: argparse.Namespace, stream) -> int:
+def cmd_columns(args: argparse.Namespace) -> Output:
     from .oracle import column_scan
 
     if args.p != 2:
         raise UsageError("column densities are implemented for p = 2 only")
     if args.tmax < 0 or args.jmax < 0 or args.mmax < 1:
         raise UsageError("need tmax >= 0, jmax >= 0 and mmax >= 1")
-    if args.tol <= 0:
-        raise UsageError("tol must be positive")
+    tol = _tol(args)
     reports = column_scan(
-        args.tmax, args.jmax, args.mmax, tol=args.tol, jobs=_jobs(args)
+        args.tmax, args.jmax, args.mmax, tol=tol, jobs=_jobs(args)
     )
     all_ok = all(r.ok for r in reports)
     worst = max(r.max_deviation for r in reports)
-    if args.format == "json":
-        obj = {
+
+    def as_csv():
+        yield ["t", "j", "count", "estimate", "prediction", "deviation"]
+        for r in reports:
+            for row in r.rows:
+                floats = (row.estimate, row.prediction, row.deviation)
+                yield [r.t, row.j, row.count, *map(repr, floats)]
+
+    def as_text():
+        for r in reports:
+            status = "ok" if r.ok else "FAIL"
+            yield f"t={r.t}: max deviation {r.max_deviation:.3e} {status}"
+        yield f"{'ok' if all_ok else 'FAIL'} (worst deviation {worst:.3e})"
+
+    return Output(
+        json=lambda: {
             "t_max": args.tmax,
             "j_max": args.jmax,
             "m_max": args.mmax,
-            "tol": args.tol,
+            "tol": tol,
             "reports": [
                 {
                     "t": r.t,
-                    "rows": [
-                        {
-                            "j": row.j,
-                            "count": row.count,
-                            "estimate": row.estimate,
-                            "prediction": row.prediction,
-                            "deviation": row.deviation,
-                        }
-                        for row in r.rows
-                    ],
+                    # the row fields are the schema's row keys, in order
+                    "rows": [asdict(row) for row in r.rows],
                     "max_deviation": r.max_deviation,
                     "ok": r.ok,
                 }
@@ -502,35 +524,11 @@ def cmd_columns(args: argparse.Namespace, stream) -> int:
             ],
             "max_deviation": worst,
             "ok": all_ok,
-        }
-        _emit_json(obj, stream)
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(
-            ["t", "j", "count", "estimate", "prediction", "deviation"]
-        )
-        for r in reports:
-            for row in r.rows:
-                writer.writerow(
-                    [
-                        r.t,
-                        row.j,
-                        row.count,
-                        repr(row.estimate),
-                        repr(row.prediction),
-                        repr(row.deviation),
-                    ]
-                )
-    else:
-        for r in reports:
-            status = "ok" if r.ok else "FAIL"
-            stream.write(
-                f"t={r.t}: max deviation {r.max_deviation:.3e} {status}\n"
-            )
-        stream.write(
-            f"{'ok' if all_ok else 'FAIL'} (worst deviation {worst:.3e})\n"
-        )
-    return 0 if all_ok else 1
+        },
+        csv=as_csv,
+        text=as_text,
+        status=0 if all_ok else 1,
+    )
 
 
 # -- parser ----------------------------------------------------------------
@@ -560,10 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser(
-        "poly",
-        parents=[common],
-        help="print the block-count polynomial for one level",
+    def command(name, handler, help):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command(
+        "poly", cmd_poly, "print the block-count polynomial for one level"
     )
     sp.add_argument("--j", type=int, required=True, help="level index")
     sp.add_argument(
@@ -576,31 +577,22 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"allow j beyond the default cap {DESK_SCALE_JMAX}",
     )
-    sp.set_defaults(handler=cmd_poly)
 
-    sp = sub.add_parser(
-        "theta",
-        parents=[common],
-        help="print exact-divisibility counts for one row",
+    sp = command(
+        "theta", cmd_theta, "print exact-divisibility counts for one row"
     )
     sp.add_argument("--n", type=int, required=True, help="row index")
     sp.add_argument(
         "--j", type=int, default=None, help="single level (default: all)"
     )
-    sp.set_defaults(handler=cmd_theta)
 
-    sp = sub.add_parser(
-        "rw",
-        parents=[common],
-        help="print the building-block rational function of a word",
+    sp = command(
+        "rw", cmd_rw, "print the building-block rational function of a word"
     )
     sp.add_argument("--word", required=True, help="admissible word")
-    sp.set_defaults(handler=cmd_rw)
 
-    sp = sub.add_parser(
-        "coeffs",
-        parents=[common],
-        help="print the coefficient series of a monomial",
+    sp = command(
+        "coeffs", cmd_coeffs, "print the coefficient series of a monomial"
     )
     sp.add_argument(
         "--monomial",
@@ -630,21 +622,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-6,
         help="unit-circle tolerance for the convergence check",
     )
-    sp.set_defaults(handler=cmd_coeffs)
 
-    sp = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run the independent oracles against the package",
+    sp = command(
+        "verify", cmd_verify, "run the independent oracles against the package"
     )
     sp.add_argument("--nmax", type=int, required=True, help="rows to check")
     sp.add_argument("--jobs", type=int, default=None, help="worker processes")
-    sp.set_defaults(handler=cmd_verify)
 
-    sp = sub.add_parser(
+    sp = command(
         "terms",
-        parents=[common],
-        help="compare term counts with the generating-function bound",
+        cmd_terms,
+        "compare term counts with the generating-function bound",
     )
     sp.add_argument("--jmax", type=int, required=True, help="highest level")
     sp.add_argument(
@@ -652,12 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"allow jmax beyond the default cap {DESK_SCALE_JMAX}",
     )
-    sp.set_defaults(handler=cmd_terms)
 
-    sp = sub.add_parser(
+    sp = command(
         "classify",
-        parents=[common],
-        help="convergence classification of coefficient series",
+        cmd_classify,
+        "convergence classification of coefficient series",
     )
     sp.add_argument("--word", default=None, help="single admissible word")
     sp.add_argument(
@@ -669,12 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-6,
         help="unit-circle tolerance (default 1e-6)",
     )
-    sp.set_defaults(handler=cmd_classify)
 
-    sp = sub.add_parser(
+    sp = command(
         "tildetheta",
-        parents=[common],
-        help="print the digit-sum reindexed count table",
+        cmd_tildetheta,
+        "print the digit-sum reindexed count table",
     )
     sp.add_argument("--kmax", type=int, required=True, help="highest row")
     sp.add_argument("--nmax", type=int, required=True, help="highest column")
@@ -683,12 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the closed infinite-product form instead of the recurrence",
     )
-    sp.set_defaults(handler=cmd_tildetheta)
 
-    sp = sub.add_parser(
+    sp = command(
         "columns",
-        parents=[common],
-        help="check column densities against polynomial predictions",
+        cmd_columns,
+        "check column densities against polynomial predictions",
     )
     sp.add_argument("--tmax", type=int, required=True, help="highest column")
     sp.add_argument("--jmax", type=int, required=True, help="highest level")
@@ -702,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed deviation (default 5e-3)",
     )
     sp.add_argument("--jobs", type=int, default=None, help="worker processes")
-    sp.set_defaults(handler=cmd_columns)
 
     return parser
 
@@ -711,10 +695,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, sys.stdout)
+        out = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _write(out, args.format, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -247,24 +248,22 @@ def column_check(
     return ColumnCheckReport(t, j_max, m_max, tol, tuple(rows), worst, worst <= tol)
 
 
-def _column_check_args(args: tuple[int, int, int, float]) -> ColumnCheckReport:
-    t, j_max, m_max, tol = args
-    return column_check(t, j_max, m_max, tol)
-
-
 def column_scan(
     t_max: int, j_max: int, m_max: int, tol: float = 5e-3, jobs: int = 1
 ) -> tuple[ColumnCheckReport, ...]:
     """column_check for every t <= t_max."""
-    argses = [(t, j_max, m_max, tol) for t in range(t_max + 1)]
+    ts = range(t_max + 1)
     # one digit-sum table for the widest column, sliced by every t
     _digit_sum_table(m_max + t_max, 2)
     if jobs <= 1:
-        return tuple(column_check(*a) for a in argses)
+        return tuple(column_check(t, j_max, m_max, tol) for t in ts)
     # prime the polynomial cache in the parent; forked workers inherit both
     block_polynomial(2, j_max)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return tuple(pool.map(_column_check_args, argses))
+        checks = pool.map(
+            column_check, ts, repeat(j_max), repeat(m_max), repeat(tol)
+        )
+        return tuple(checks)
 
 
 @dataclass(frozen=True)

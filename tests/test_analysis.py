@@ -157,6 +157,11 @@ class TestClassification:
         # with a huge tolerance even |xi| = 1/2 lands in the boundary band
         assert classify_word(W("10"), tol=0.6).classification == "boundary"
 
+    def test_nan_tolerance_rejected(self):
+        # NaN fails every band comparison, which once made 1010 "convergent"
+        with pytest.raises(ValueError, match="positive and finite"):
+            classify_word(W("1010"), tol=float("nan"))
+
     def test_boundary_word_100_certified(self):
         pr = classify_word(W("100"))
         assert pr.classification == "boundary"

@@ -170,6 +170,43 @@ class TestCsv:
         assert code == 0
         assert out.split("\r\n")[-2].startswith("sum,0.15415067982725836")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["terms", "--jmax", "3"],
+                "j,actual,bound\r\n0,1,1\r\n1,1,2\r\n2,4,5\r\n3,11,12\r\n",
+            ),
+            (
+                ["verify", "--nmax", "16"],
+                "check,ok,counterexample\r\nvaluation triple,True,\r\n"
+                "row counts,True,\r\npolynomial identity,True,\r\n",
+            ),
+            (
+                ["tildetheta", "--kmax", "2", "--nmax", "3"],
+                "k,0,1,2,3\r\n0,1,0,0,0\r\n1,0,2,2,0\r\n2,0,0,1,4\r\n",
+            ),
+            (
+                ["columns", "--tmax", "1", "--jmax", "1", "--mmax", "64"],
+                "t,j,count,estimate,prediction,deviation\r\n"
+                "0,0,64,1.0,1.0,0.0\r\n0,1,0,0.0,0.0,0.0\r\n"
+                "1,0,32,0.5,0.5,0.0\r\n1,1,16,0.25,0.25,0.0\r\n",
+            ),
+            (["theta", "--n", "8", "--j", "3"], "j,count\r\n3,4\r\n"),
+            (
+                ["classify", "--maxlen", "3"],
+                "word,class,max_xi_modulus,dominant_singularity,"
+                "coefficient_sum\r\n"
+                "10,convergent,0.5,-2.0,0.4054651081081644\r\n"
+                "100,boundary,1.0000000000000002,"
+                "-0.24999999999999994+0.9682458365518541j,\r\n"
+                "110,convergent,0.5,-2.0,0.15415067982725836\r\n",
+            ),
+        ],
+    )
+    def test_golden(self, cli, argv, expected):
+        assert cli(*argv, "--format", "csv") == (0, expected, "")
+
 
 class TestJsonSchemas:
     def test_poly(self, cli):
@@ -258,6 +295,10 @@ class TestExitCodes:
             ("classify", "--word", "10", "--maxlen", "4"),
             ("classify", "--maxlen", "1"),
             ("classify", "--word", "10", "--tol", "0"),
+            ("classify", "--word", "1010", "--tol", "nan"),
+            ("coeffs", "--monomial", "1010", "--sum", "--tol", "nan"),
+            ("columns", "--tmax", "1", "--jmax", "1", "--mmax", "8",
+             "--tol", "inf"),
             ("terms", "--jmax", "14"),
             ("verify", "--nmax", "0"),
             ("verify", "--nmax", "10", "--jobs", "0"),
@@ -268,6 +309,12 @@ class TestExitCodes:
             code, _, err = cli(*argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv
+
+    def test_negative_tol_is_rejected_not_divergent(self, cli):
+        # 10 is convergent; a bad tolerance must not read as a verdict
+        code, out, err = cli("coeffs", "--monomial", "10", "--sum", "--tol", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be positive and finite\n"
 
     def test_internal_errors_propagate(self, monkeypatch):
         # a library ValueError is a fault, not rejected input: no exit 2
