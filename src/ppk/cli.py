@@ -48,10 +48,11 @@ from .words import Word
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
-# j caps for the synthesis commands; term counts grow like the bound B_j
-# (B_11 = 13144; P_11 has 13082 terms) so anything past this needs an
-# explicit override
+# Without --force a synthesis level j needs j <= DESK_SCALE_JMAX and a term
+# bound B_j <= SYNTH_TERM_CAP (P_11 has 13082 terms at p=2, B_11 = 13144)
 DESK_SCALE_JMAX = 12
+SYNTH_TERM_CAP = 30691  # B_12 at p=2: the load that p=2 already allows
+CAPS_TEXT = "12, 6, 4, 3 at p = 2, 3, 5, 7"
 
 
 class UsageError(ValueError):
@@ -106,10 +107,12 @@ def _tol(args: argparse.Namespace) -> float:
     return args.tol
 
 
-def _check_cap(name: str, value: int, force: bool) -> None:
-    if value > DESK_SCALE_JMAX and not force:
+def _check_cap(name: str, value: int, p: int, force: bool) -> None:
+    bounds = term_bound_series(p, DESK_SCALE_JMAX)
+    cap = max(j for j, b in enumerate(bounds) if b <= SYNTH_TERM_CAP)
+    if value > cap and not force:
         raise UsageError(
-            f"{name} = {value} exceeds the default cap {DESK_SCALE_JMAX}; "
+            f"{name} = {value} exceeds the default cap {cap}; "
             "pass --force to build anyway"
         )
 
@@ -167,7 +170,7 @@ def cmd_poly(args: argparse.Namespace) -> Output:
         raise UsageError("j must be >= 0")
     if args.cumulative and args.j < 1:
         raise UsageError("cumulative polynomials need j >= 1")
-    _check_cap("j", args.j, args.force)
+    _check_cap("j", args.j, args.p, args.force)
     poly = (
         cumulative_polynomial(args.p, args.j)
         if args.cumulative
@@ -176,7 +179,7 @@ def cmd_poly(args: argparse.Namespace) -> Output:
 
     def as_csv():
         yield ["monomial", "coeff"]
-        for mono, coeff in poly.sorted_terms():
+        for mono, coeff in poly.terms.items():
             yield [str(mono), rational_to_str(coeff)]
 
     return Output(
@@ -336,7 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 def cmd_terms(args: argparse.Namespace) -> Output:
     if args.jmax < 0:
         raise UsageError("jmax must be >= 0")
-    _check_cap("jmax", args.jmax, args.force)
+    _check_cap("jmax", args.jmax, args.p, args.force)
     actual = [
         poly.term_count for poly in block_polynomials_up_to(args.p, args.jmax)
     ]
@@ -575,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--force",
         action="store_true",
-        help=f"allow j beyond the default cap {DESK_SCALE_JMAX}",
+        help=f"allow j beyond the default cap ({CAPS_TEXT})",
     )
 
     sp = command(
@@ -638,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--force",
         action="store_true",
-        help=f"allow jmax beyond the default cap {DESK_SCALE_JMAX}",
+        help=f"allow jmax beyond the default cap ({CAPS_TEXT})",
     )
 
     sp = command(

@@ -1,10 +1,10 @@
 """Independent brute-force ground truth.
 
-Nothing here touches the row-polynomial recurrence: valuations of binomial
+No oracle touches the row-polynomial recurrence: valuations of binomial
 coefficients come from carry counting, digit sums, and factorial valuations,
 three classical routes computed separately so they can vouch for each other.
 Row histograms and column densities built on top give the reference data the
-synthesized polynomials are checked against.
+recurrence and the synthesized polynomials are checked against.
 
 Scans are exhaustive over stated ranges; numpy carries the bulk loops, and
 range partitioning across processes is available where a scan is wide.
@@ -20,8 +20,15 @@ from itertools import repeat
 
 import numpy as np
 
-from .synth import block_polynomial
-from .words import Word, complement, digit_sum, factor_count
+from .synth import block_polynomials_up_to
+from .theta import T_poly, theta0
+from .words import (
+    complement,
+    counting_factor_counts,
+    digit_sum,
+    expand,
+    factor_count,
+)
 
 __all__ = [
     "ValuationTriple",
@@ -237,8 +244,7 @@ def column_check(
     hist = _column_histogram(t, m_max)
     base = Fraction(1, 2 ** digit_sum(t, 2))
     rows = []
-    for j in range(j_max + 1):
-        poly = block_polynomial(2, j)
+    for j, poly in enumerate(block_polynomials_up_to(2, j_max)):
         counts = {w: factor_count(t, complement(w)) for w in poly.words()}
         pred = float(poly.evaluate_counts(counts) * base)
         count = int(hist[j]) if j < len(hist) else 0
@@ -257,8 +263,8 @@ def column_scan(
     _digit_sum_table(m_max + t_max, 2)
     if jobs <= 1:
         return tuple(column_check(t, j_max, m_max, tol) for t in ts)
-    # prime the polynomial cache in the parent; forked workers inherit both
-    block_polynomial(2, j_max)
+    # build P_0..P_jmax in the parent; forked workers inherit both caches
+    block_polynomials_up_to(2, j_max)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         checks = pool.map(
             column_check, ts, repeat(j_max), repeat(m_max), repeat(tol)
@@ -291,10 +297,6 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     histogram equals the row polynomial coefficients, and the synthesized
     level polynomials reproduce the histogram through theta_0 scaling.
     """
-    from .theta import T_poly, theta0
-    from .synth import block_polynomials_up_to
-    from .words import counting_factor_counts, expand
-
     # one digit-sum table for the widest row, before forked workers start
     _digit_sum_table(n_max, p)
     triple_ok, triple_bad = triple_agreement_scan(p, n_max, jobs)

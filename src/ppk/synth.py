@@ -96,7 +96,6 @@ def r_w_closed(w: Word) -> RationalFunctionQ:
     return RationalFunctionQ(num, den)
 
 
-@functools.cache
 def log_rw_series(w: Word, order: int) -> SeriesQ:
     """log r_w as a series, from the closed form of r_w."""
     wl, wr, _ = truncations(w)
@@ -230,12 +229,14 @@ class BlockPolynomial:
     j: int
     terms: dict[Monomial, Fraction]
 
+    def __post_init__(self) -> None:
+        # the one place the canonical term order is applied
+        order = sorted(self.terms, key=Monomial.sort_key)
+        self.terms = {mono: self.terms[mono] for mono in order}
+
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def words(self) -> set[Word]:
         return {w for mono in self.terms for w, _ in mono.factors}
@@ -244,7 +245,7 @@ class BlockPolynomial:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in self.terms.items():
             mag = abs(coeff)
             if mono.is_constant:
                 body = rational_to_str(mag)
@@ -269,7 +270,7 @@ class BlockPolynomial:
                     ],
                     "coeff": rational_to_str(coeff),
                 }
-                for mono, coeff in self.sorted_terms()
+                for mono, coeff in self.terms.items()
             ],
         }
 
@@ -293,15 +294,15 @@ class BlockPolynomial:
         return self.evaluate_counts(counting_factor_counts(expand(n, self.p)))
 
 
-_BLOCK_CACHE: dict[tuple[int, int], BlockPolynomial] = {}
-
-
-def block_polynomials_up_to(p: int, jmax: int) -> list[BlockPolynomial]:
+@functools.cache
+def block_polynomials_up_to(
+    p: int, jmax: int
+) -> tuple[BlockPolynomial, ...]:
     """Build P_0 .. P_jmax in one shared pass over the monomial tree.
 
-    The tree walk reuses the partial coefficient-series product of each
-    monomial prefix, so every monomial costs one truncated series
-    multiplication.
+    The only cache of built polynomials.  The tree walk reuses the partial
+    coefficient-series product of each monomial prefix, so every monomial
+    costs one truncated series multiplication.
     """
     words = enumerate_admissible(p, jmax)
     logs = [log_rw_series(w, jmax) for w in words]
@@ -314,23 +315,15 @@ def block_polynomials_up_to(p: int, jmax: int) -> list[BlockPolynomial]:
             c = series.coeffs[j]
             if c:
                 tables[j][mono] = c
-    out = []
-    for j in range(jmax + 1):
-        ordered = dict(sorted(tables[j].items(), key=lambda kv: kv[0].sort_key()))
-        poly = BlockPolynomial(p, j, ordered)
-        _BLOCK_CACHE[(p, j)] = poly
-        out.append(poly)
-    return out
+    return tuple(BlockPolynomial(p, j, t) for j, t in enumerate(tables))
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:
-    """P_j for one level (cached; builds all lower levels alongside)."""
+    """P_j from the cached build of P_0..P_j; that build is keyed by (p, j),
+    so after a larger build this builds levels 0..j once more."""
     if j < 0:
         raise ValueError("level must be >= 0")
-    hit = _BLOCK_CACHE.get((p, j))
-    if hit is None:
-        hit = block_polynomials_up_to(p, j)[j]
-    return hit
+    return block_polynomials_up_to(p, j)[j]
 
 
 def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
@@ -338,15 +331,14 @@ def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
     if j < 1:
         raise ValueError("cumulative level must be >= 1")
     merged: dict[Monomial, Fraction] = {}
-    for i in range(j):
-        for mono, c in block_polynomial(p, i).terms.items():
+    for poly in block_polynomials_up_to(p, j - 1):
+        for mono, c in poly.terms.items():
             acc = merged.get(mono, Fraction(0)) + c
             if acc:
                 merged[mono] = acc
             else:
                 merged.pop(mono, None)
-    ordered = dict(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
-    return BlockPolynomial(p, j, ordered)
+    return BlockPolynomial(p, j, merged)
 
 
 def telescope_identity_holds(v: Word, order: int) -> bool:

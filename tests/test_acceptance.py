@@ -85,7 +85,7 @@ def test_criterion_01_golden_polynomials():
         ]
         assert polys[0].terms == {Monomial.of([]): Fraction(1)}
         assert polys[1].terms == {Monomial.of([(W("10"), 1)]): Fraction(1, 2)}
-        assert [c for _, c in polys[2].sorted_terms()] == [
+        assert list(polys[2].terms.values()) == [
             Fraction(-1, 8),
             Fraction(1, 8),
             Fraction(1),

@@ -300,6 +300,8 @@ class TestExitCodes:
             ("columns", "--tmax", "1", "--jmax", "1", "--mmax", "8",
              "--tol", "inf"),
             ("terms", "--jmax", "14"),
+            ("terms", "--p", "7", "--jmax", "4"),  # cap 3 at p = 7
+            ("poly", "--p", "5", "--j", "5"),  # cap 4 at p = 5
             ("verify", "--nmax", "0"),
             ("verify", "--nmax", "10", "--jobs", "0"),
             ("columns", "--tmax", "2", "--jmax", "1", "--mmax", "0"),
@@ -347,6 +349,23 @@ class TestExitCodes:
 
     def test_force_lifts_cap(self, cli):
         code, _, _ = cli("poly", "--j", "5", "--force")
+        assert code == 0
+
+    def test_caps_follow_term_bound(self, cli, capsys):
+        caps = {"2": 12, "3": 6, "5": 4, "7": 3}
+        for command in ("poly", "terms"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert "default cap (12, 6, 4, 3 at p = 2, 3, 5, 7)" in help_text
+        for p, cap in caps.items():
+            code, out, err = cli("poly", "--p", p, "--j", str(cap + 1))
+            assert (code, out) == (2, ""), p
+            assert err == (
+                f"error: j = {cap + 1} exceeds the default cap {cap}; "
+                "pass --force to build anyway\n"
+            )
+        code, _, _ = cli("poly", "--p", "5", "--j", "4")
         assert code == 0
 
 

@@ -17,6 +17,7 @@ from ppk.oracle import (
     valuation,
     valuation_by_factorization,
 )
+from ppk.synth import block_polynomials_up_to
 from ppk.theta import T_poly
 
 
@@ -124,6 +125,11 @@ class TestColumns:
         assert rep.ok and rep.max_deviation == 0.0
         rep = column_check(11, 3, 1 << 14)
         assert rep.ok and rep.max_deviation == 0.0
+
+    def test_one_build(self):
+        block_polynomials_up_to.cache_clear()
+        column_check(5, 4, 64)
+        assert block_polynomials_up_to.cache_info().misses == 1
 
     def test_small_scan(self):
         reports = column_scan(8, 3, 1 << 14)

@@ -7,6 +7,7 @@ import pytest
 
 from ppk.ratcore import PolyQ, RationalFunctionQ, SeriesQ
 from ppk.synth import (
+    BlockPolynomial,
     Monomial,
     alpha_coefficient,
     block_polynomial,
@@ -203,6 +204,16 @@ class TestBlockPolynomials:
         assert block_polynomial(2, 3).text() == P3_TEXT
         assert block_polynomial(2, 4).text() == P4_TEXT
 
+    def test_terms_put_in_canonical_order(self):
+        terms = block_polynomial(2, 2).terms
+        poly = BlockPolynomial(2, 2, dict(reversed(terms.items())))
+        assert list(poly.terms) == sorted(terms, key=Monomial.sort_key)
+
+    def test_build_is_one_cached_tuple(self):
+        polys = block_polynomials_up_to(2, 3)
+        assert isinstance(polys, tuple)
+        assert block_polynomials_up_to(2, 3) is polys
+
     def test_term_count_prefix(self):
         polys = block_polynomials_up_to(2, 6)
         assert [q.term_count for q in polys] == [1, 1, 4, 11, 29, 69, 174]
@@ -274,6 +285,11 @@ class TestCumulative:
             n = rng.randrange(0, 3**9)
             total = sum(theta(3, j, n) for j in range(3))
             assert cum.evaluate(n) == Fraction(total, theta0(3, n))
+
+    def test_one_build(self):
+        block_polynomials_up_to.cache_clear()
+        cumulative_polynomial(3, 5)
+        assert block_polynomials_up_to.cache_info().misses == 1
 
     def test_needs_positive_level(self):
         with pytest.raises(ValueError):
