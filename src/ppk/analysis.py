@@ -104,91 +104,35 @@ def term_bound_asymptotic(p: int, j: int) -> float:
     return prefactor * math.exp(2 * math.sqrt(c.mu * j)) * p**j / j**0.75
 
 
-def _ceval(coeffs: list[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _aberth_roots(coeffs: list[complex]) -> list[complex]:
-    """All roots of a squarefree polynomial by simultaneous iteration.
-
-    Deterministic: fixed starting circle (Cauchy bound radius, asymmetric
-    phase offset so symmetric polynomials cannot trap the iteration), fixed
-    tolerances, then a few Newton steps per root to polish.
-    """
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    a = [c / lead for c in coeffs]
-    if n == 1:
-        return [-a[0]]
-    if n == 2:
-        b, c = a[1], a[0]
-        disc = cmath.sqrt(b * b - 4 * c)
-        top = -(b + disc) if abs(b + disc) >= abs(b - disc) else -(b - disc)
-        if top == 0:
-            return [0j, -b]
-        q = top / 2
-        return [q, c / q]
-    dp = [k * a[k] for k in range(1, n + 1)]
-    radius = 1.0 + max(abs(c) for c in a[:-1])
-    z = [radius * cmath.exp(2j * cmath.pi * (k + 0.35) / n) for k in range(n)]
-    for _ in range(400):
-        biggest = 0.0
-        new = []
-        for i, zi in enumerate(z):
-            dv = _ceval(dp, zi)
-            if dv == 0:
-                # landed on a critical point; nudge and keep going
-                new.append(zi + 1e-6)
-                biggest = max(biggest, 1e-6)
-                continue
-            ratio = _ceval(a, zi) / dv
-            s = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
-            den = 1.0 - ratio * s
-            delta = ratio if den == 0 else ratio / den
-            new.append(zi - delta)
-            biggest = max(biggest, abs(delta))
-        z = new
-        if biggest < 1e-12 * max(1.0, max(abs(v) for v in z)):
-            break
-    else:
-        raise ArithmeticError(
-            f"root iteration did not converge for degree {n}: {coeffs!r}"
-        )
-    for i, zi in enumerate(z):
-        for _ in range(4):
-            dv = _ceval(dp, zi)
-            if dv == 0:
-                break
-            step = _ceval(a, zi) / dv
-            zi -= step
-            if abs(step) < 1e-15 * max(1.0, abs(zi)):
-                break
-        z[i] = zi
-    return z
-
-
 def poly_roots(poly: PolyQ) -> list[tuple[complex, int]]:
     """Approximate roots with exact multiplicities.
 
     The squarefree decomposition is computed exactly first, so the numeric
-    iteration only ever sees simple roots.  Sorted by (modulus, phase).
+    solver only ever sees simple roots.  Each factor's roots are the
+    eigenvalues of its companion matrix (``numpy.roots``); their last digits
+    come from numpy's LAPACK build.  Sorted by (modulus, phase).
     """
+    import numpy  # here, so that importing ppk never loads numpy
+
     out: list[tuple[complex, int]] = []
     for factor, mult in squarefree_decomposition(poly):
         if factor.degree < 1:
             continue
-        roots = _aberth_roots([complex(float(c)) for c in factor.coeffs])
-        out.extend((r, mult) for r in roots)
+        lead_first = [float(c) for c in reversed(factor.coeffs)]
+        out.extend((complex(r), mult) for r in numpy.roots(lead_first))
     out.sort(key=lambda rm: (abs(rm[0]), cmath.phase(rm[0]), rm[1]))
     return out
 
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Root data of the canonical r_w with the convergence verdict."""
+    """Root data of the canonical r_w with the convergence verdict.
+
+    dominant_singularity is a root of least modulus (within a relative
+    1e-9, which absorbs float noise): of those the one nearest the real
+    axis, reported in the upper half-plane.  So a real root wins a modulus
+    tie, and a conjugate pair always gives the same member.
+    """
 
     word: Word
     tol: float
@@ -220,10 +164,11 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
     poles = tuple(poly_roots(rf.den))
     roots = zeros + poles
     if roots:
-        min_mod = min(abs(r) for r, _ in roots)
-        max_xi = 1.0 / min_mod
-        dominant = min(roots, key=lambda rm: (abs(rm[0]), cmath.phase(rm[0])))[0]
-        radius = min_mod
+        radius = min(abs(r) for r, _ in roots)
+        max_xi = 1.0 / radius
+        nearest = [r for r, _ in roots if abs(r) <= radius * (1 + 1e-9)]
+        dominant = min(nearest, key=lambda r: abs(r.imag))
+        dominant = complex(dominant.real, abs(dominant.imag))
     else:
         max_xi = 0.0
         dominant = None

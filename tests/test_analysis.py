@@ -149,6 +149,18 @@ class TestClassification:
         assert abs(x0.imag) < 1e-12
         assert abs(x0.real - (-0.86408)) < 1e-4
 
+    def test_degree_19_word(self):
+        # numerator and denominator of r_w both have degree 19, where an
+        # iterative root finder can fail to converge; the expected value is
+        # 1/min |root| from mpmath.polyroots at 40 digits
+        pr = classify_word(W("110001010010"))
+        assert pr.classification == "divergent"
+        assert abs(pr.max_xi_modulus - 1.43080871314046) < 1e-9
+
+    def test_dominant_singularity_in_upper_half_plane(self):
+        # the least-modulus roots of r_1000 are one conjugate pair
+        assert classify_word(W("1000")).dominant_singularity.imag > 0
+
     def test_needs_admissible_word(self):
         with pytest.raises(ValueError):
             classify_word(W("11"))
@@ -234,6 +246,11 @@ class TestClassification:
 
 
 class TestScanPartition:
+    def test_dominant_singularities_in_upper_half_plane(self, base2_scan):
+        assert all(
+            pr.dominant_singularity.imag >= 0 for pr in base2_scan.profiles
+        )
+
     def test_census(self, base2_scan):
         rep = base2_scan
         assert (rep.p, rep.max_len) == (2, 10)

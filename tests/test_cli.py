@@ -1,6 +1,7 @@
 """End-to-end command line checks: goldens, exit codes, schemas."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ from jsonschema import Draft202012Validator
 
 from ppk.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "docs" / "schemas"
+# subprocesses find ppk in src/ also when the checkout is not installed
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 CLASSIFY_SCAN_6 = """\
 checked: 31
@@ -20,6 +24,19 @@ family ones_zero_ones_zero (3): 10110 101110 110110
 family ones_zero_zero (1): 100
 exceptional (0):
 boundary (1): 100
+"""
+
+CLASSIFY_P3_SCAN_5 = """\
+checked: 160
+divergent: 118
+family ones_zero (0):
+family ones_zero_ones_zero (0):
+family ones_zero_zero (0):
+exceptional (42): 10 11 21 101 110 111 121 211 221 1011 1110 1111 1121 \
+1211 1220 1221 2111 2121 2211 2221 10111 10121 10221 11110 11111 11121 11211 \
+11220 11221 12111 12121 12211 12221 21111 21121 21211 21220 21221 22111 22121 \
+22211 22221
+boundary (11): 10 101 110 1011 1110 1220 10111 10221 11110 11220 21220
 """
 
 TILDE_2_4_6 = """\
@@ -101,11 +118,21 @@ class TestTextGoldens:
         code, out, _ = cli("classify", "--word", "1010")
         assert code == 0
         assert "coefficient sum" not in out
-        assert "max xi modulus: 1.157298106138376\n" in out
+        assert "max xi modulus: 1.1572981061383765\n" in out
+
+    def test_classify_degree_19_word(self, cli):
+        # both factors of r_w have degree 19
+        code, out, _ = cli("classify", "--word", "110001010010")
+        assert code == 0
+        assert out.startswith("word: 110001010010\nclass: divergent\n")
 
     def test_classify_scan(self, cli):
         code, out, _ = cli("classify", "--maxlen", "6")
         assert (code, out) == (0, CLASSIFY_SCAN_6)
+
+    def test_classify_scan_base_3(self, cli):
+        code, out, _ = cli("classify", "--p", "3", "--maxlen", "5")
+        assert (code, out) == (0, CLASSIFY_P3_SCAN_5)
 
     def test_tildetheta(self, cli):
         code, out, _ = cli("tildetheta", "--p", "2", "--kmax", "4", "--nmax", "6")
@@ -198,9 +225,10 @@ class TestCsv:
                 "word,class,max_xi_modulus,dominant_singularity,"
                 "coefficient_sum\r\n"
                 "10,convergent,0.5,-2.0,0.4054651081081644\r\n"
-                "100,boundary,1.0000000000000002,"
-                "-0.24999999999999994+0.9682458365518541j,\r\n"
-                "110,convergent,0.5,-2.0,0.15415067982725836\r\n",
+                "100,boundary,1.0,"
+                "-0.24999999999999997+0.9682458365518543j,\r\n"
+                "110,convergent,0.5000000000000001,-2.0,"
+                "0.15415067982725836\r\n",
             ),
         ],
     )
@@ -403,9 +431,27 @@ class TestDeterminism:
             "classify", "--maxlen", "5", "--format", "csv",
         ]
         runs = [
-            subprocess.run(argv, capture_output=True, check=True).stdout
+            subprocess.run(
+                argv, capture_output=True, check=True, env=SRC_ENV
+            ).stdout
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
         header = runs[0].split(b"\r\n", 1)[0]
         assert header == b"word,class,max_xi_modulus,dominant_singularity,coefficient_sum"
+
+
+class TestImports:
+    def test_algebra_commands_never_load_numpy(self):
+        # numpy is imported by the root finder and the oracles only, so
+        # poly and terms keep their start-up time and memory
+        code = (
+            "import sys, ppk.cli\n"
+            "assert ppk.cli.main(['terms', '--jmax', '3']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, check=True, text=True, env=SRC_ENV,
+        )
+        assert run.stdout.endswith("\nFalse\n")
