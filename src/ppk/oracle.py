@@ -112,11 +112,7 @@ def row_counts_bruteforce(p: int, n: int) -> list[int]:
     s = _digit_sum_table(n + 1, p)
     sn = int(s[n])
     vals = (s[: n + 1] + s[n::-1] - sn) // (p - 1)
-    top = int(vals.max())
-    counts = [0] * (top + 1)
-    for v in vals.tolist():
-        counts[v] += 1
-    return counts
+    return np.bincount(vals).tolist()
 
 
 _DS_CACHE: dict[int, np.ndarray] = {}

@@ -17,27 +17,29 @@ where r_w is the telescoping quotient of normalized row polynomials
 
 which also has the closed form 1 + alpha_w x^{len(w)-1} / (Tbar_{w_L}
 Tbar_{w_R}) with an explicit rational alpha_w.  This module builds r_w both
-ways, extracts the log series, enumerates monomials by total weight, and
-assembles the polynomials exactly.
+ways, takes log r_w = log(1 + u) from the closed form, enumerates monomials
+by total weight, and assembles the polynomials exactly, on integer
+numerators over one denominator per series.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
-from .theta import Tbar, _ext_pair, theta0
+from .theta import T_poly, Tbar, _ext_pair
 from .words import (
     Word,
     counting_factor_counts,
     enumerate_admissible,
     expand,
     truncations,
-    weight,
 )
 
 __all__ = [
@@ -96,13 +98,122 @@ def r_w_closed(w: Word) -> RationalFunctionQ:
     return RationalFunctionQ(num, den)
 
 
+# ---------------------------------------------------------------------------
+# Integer offset series.
+#
+# A series of order J whose coefficients below x^W all vanish is stored as
+# (W, D, nums): coefficient j is nums[j - W] / D for W <= j <= J, with
+# gcd(D, *nums) = 1.  The list stops at its last nonzero entry.  Nothing
+# below the weight or above the last nonzero entry is stored or multiplied,
+# and no Fraction is built until a coefficient is read out.
+# ---------------------------------------------------------------------------
+
+_Offset = tuple[int, int, list[int]]
+# 1/Tbar_v as (c, nums): coefficient k is nums[k] / c^k
+_Inverse = tuple[int, list[int]]
+
+
+def _trimmed(nums: list[int]) -> list[int]:
+    while nums and not nums[-1]:
+        nums.pop()
+    return nums
+
+
+def _reduced(w: int, d: int, nums: list[int]) -> _Offset:
+    nums = _trimmed(nums)
+    g = math.gcd(d, *nums)
+    if g > 1:
+        return w, d // g, [c // g for c in nums]
+    return w, d, nums
+
+
+def _mul(xs: list[int], ys: list[int], n: int) -> list[int]:
+    """The first n coefficients of xs * ys (fewer where the product ends);
+    missing entries of xs and ys are zero."""
+    out = []
+    for t in range(min(n, len(xs) + len(ys) - 1)):
+        lo = max(0, t + 1 - len(ys))
+        out.append(sum(map(operator.mul, xs[lo : t + 1], ys[t - lo :: -1])))
+    return out
+
+
+def _times(a: _Offset, b: _Offset, k: int, order: int) -> _Offset:
+    """a * b / k truncated at x^order."""
+    wa, da, xs = a
+    wb, db, ys = b
+    return _reduced(wa + wb, da * db * k, _mul(xs, ys, order - wa - wb + 1))
+
+
+def _inverse_tbar(v: Word, order: int) -> _Inverse:
+    """1/Tbar_v = T_v(0)/T_v to x^order as (c, nums) with c = T_v(0):
+    coefficient k is nums[k] / c^k, and every nums[k] is an integer."""
+    t = [int(x) for x in T_poly(v.p, v.value).coeffs]
+    c = t[0]
+    nums = [1]
+    for k in range(1, order + 1):
+        top = min(k, len(t) - 1)
+        nums.append(
+            -sum(t[i] * nums[k - i] * c ** (i - 1) for i in range(1, top + 1))
+        )
+    return c, _trimmed(nums)
+
+
+def _log_rw(w: Word, order: int, inverses: dict[Word, _Inverse]) -> _Offset:
+    """log r_w to x^order from the closed form, as an offset series.
+
+    log r_w = log(1 + u) with u = alpha_w x^m S, m = len(w) - 1 and
+    S = 1/(Tbar_{w_L} Tbar_{w_R}).  u^i starts at x^(i m), so the sum stops
+    at i = order // m and S is needed only to x^(order - m).  ``inverses``
+    holds 1/Tbar_v at this order for each word v seen so far.
+    """
+    alpha = alpha_coefficient(w)
+    a, b = alpha.numerator, alpha.denominator
+    m = len(w.digits) - 1
+    n = order - m
+    if n < 0:
+        return m, 1, []
+    if n == 0:
+        return m, b, [a]
+    wl, wr, _ = truncations(w)
+    for v in (wl, wr):
+        if v not in inverses:
+            inverses[v] = _inverse_tbar(v, order)
+    (cl, sl), (cr, sr) = inverses[wl], inverses[wr]
+    # coefficient k of S, and of every power S^i, is an integer over c^k
+    c = cl * cr
+    cpow = [c**k for k in range(n + 1)]
+    s = _mul(
+        [x * cr**k for k, x in enumerate(sl[: n + 1])],
+        [y * cl**k for k, y in enumerate(sr[: n + 1])],
+        n + 1,
+    )
+    # term i of the sum is (-1)^(i+1) a^i (S^i)_r x^(m + shift + r) /
+    # (i b^i c^r) with shift = (i - 1) m; all go over the one denominator
+    # lcm(1..top) b^top c^n
+    top = order // m
+    q = math.lcm(*range(1, top + 1))
+    nums = [0] * (n + 1)
+    power = [1]
+    for i in range(1, top + 1):
+        shift = (i - 1) * m
+        power = _mul(power, s, n + 1 - shift)
+        scale = (q // i) * a**i * b ** (top - i)
+        if i % 2 == 0:
+            scale = -scale
+        for r, x in enumerate(power):
+            nums[shift + r] += scale * x * cpow[n - r]
+    return _reduced(m, q * b**top * cpow[n], nums)
+
+
+def _to_series(s: _Offset, order: int) -> SeriesQ:
+    w, d, nums = s
+    cs = [0] * w + [Fraction(c, d) for c in nums] + [0] * (order + 1)
+    return SeriesQ(order, cs[: order + 1])
+
+
 def log_rw_series(w: Word, order: int) -> SeriesQ:
     """log r_w as a series, from the closed form of r_w."""
-    wl, wr, _ = truncations(w)
-    den = Tbar(w.p, wl) * Tbar(w.p, wr)
-    num = den + PolyQ.monomial(alpha_coefficient(w), len(w.digits) - 1)
-    s = SeriesQ.from_poly(num, order) / SeriesQ.from_poly(den, order)
-    return s.log()
+    return _to_series(_log_rw(w, order, {}), order)
 
 
 @functools.cache
@@ -213,12 +324,13 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
         raise ValueError(
             f"order {order} is below the monomial weight {mono.weight}"
         )
-    s = SeriesQ.one(order)
+    s: _Offset = (0, 1, [1])
+    inverses: dict[Word, _Inverse] = {}
     for w, k in mono.factors:
-        ls = log_rw_series(w, order)
+        ls = _log_rw(w, order, inverses)
         for i in range(1, k + 1):
-            s = (s * ls) / i
-    return s
+            s = _times(s, ls, i, order)
+    return _to_series(s, order)
 
 
 @dataclass
@@ -302,19 +414,21 @@ def block_polynomials_up_to(
 
     The only cache of built polynomials.  The tree walk reuses the partial
     coefficient-series product of each monomial prefix, so every monomial
-    costs one truncated series multiplication.
+    costs one truncated product of integer offset series, from its weight
+    up to x^jmax.
     """
     words = enumerate_admissible(p, jmax)
-    logs = [log_rw_series(w, jmax) for w in words]
+    inverses: dict[Word, _Inverse] = {}
+    logs = [_log_rw(w, jmax, inverses) for w in words]
     tables: list[dict[Monomial, Fraction]] = [{} for _ in range(jmax + 1)]
+    root: _Offset = (0, 1, [1])
     walk = _monomial_tree(
-        words, jmax, SeriesQ.one(jmax), lambda s, i, k: (s * logs[i]) / k
+        words, jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
     )
-    for mono, series in walk:
-        for j in range(mono.weight, jmax + 1):
-            c = series.coeffs[j]
+    for mono, (low, d, nums) in walk:
+        for j, c in enumerate(nums, low):
             if c:
-                tables[j][mono] = c
+                tables[j][mono] = Fraction(c, d)
     return tuple(BlockPolynomial(p, j, t) for j, t in enumerate(tables))
 
 

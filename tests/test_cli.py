@@ -1,5 +1,6 @@
 """End-to-end command line checks: goldens, exit codes, schemas."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -439,6 +440,28 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         header = runs[0].split(b"\r\n", 1)[0]
         assert header == b"word,class,max_xi_modulus,dominant_singularity,coefficient_sum"
+
+
+class TestPinnedOutputs:
+    # the synthesis commands among the benchmark's pins; the pin file is
+    # read, never written
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "poly --p 2 --j 10 --format json",
+            "poly --p 2 --j 4 --format json",
+            "terms --p 5 --jmax 4",
+            "terms --p 3 --jmax 3",
+        ],
+    )
+    def test_exit_and_sha256(self, command):
+        pin = json.loads((ROOT / "bench" / "pins.json").read_text())[command]
+        run = subprocess.run(
+            [sys.executable, "-m", "ppk", *command.split()],
+            capture_output=True, env=SRC_ENV,
+        )
+        assert run.returncode == pin["exit"]
+        assert hashlib.sha256(run.stdout).hexdigest() == pin["sha256"]
 
 
 class TestImports:

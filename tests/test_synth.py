@@ -122,6 +122,30 @@ class TestLogSeries:
             w = Word(p, tuple(digits))
             assert log_rw_series(w, 10) == r_w_quotient(w).series(10).log()
 
+    def test_truncation_edges_match_quotient(self):
+        # every order 0..12, including m > order (zero series) and
+        # m == order (alpha_w x^m alone), with m = len(w) - 1
+        rng = random.Random(46)
+        for p in (2, 3, 5, 7):
+            words = enumerate_admissible(p, 1 if p > 3 else 2)
+            for length in (3, 4, 5, 7, 10, 13, 14):
+                for _ in range(2):
+                    digits = [rng.randint(1, p - 1)]
+                    digits.extend(rng.randrange(p) for _ in range(length - 2))
+                    digits.append(rng.randrange(p - 1))
+                    words.append(Word(p, tuple(digits)))
+            for w in words:
+                rw = r_w_quotient(w)
+                m = len(w.digits) - 1
+                for order in range(13):
+                    s = log_rw_series(w, order)
+                    assert s == rw.series(order).log(), (w, order)
+                    if m > order:
+                        assert s == SeriesQ.zero(order)
+                    elif m == order:
+                        tail = [alpha_coefficient(w)]
+                        assert s == SeriesQ(order, [0] * m + tail)
+
 
 class TestMonomials:
     def test_construction_rules(self):
@@ -194,6 +218,27 @@ class TestMonomials:
         assert s == (base * base) / 2
         assert s[2] == Fraction(1, 8)
         assert s[3] == Fraction(-1, 16)
+
+
+class TestWalkAgainstQuotient:
+    @pytest.mark.parametrize("p,jmax", [(2, 7), (3, 4), (5, 3), (7, 2)])
+    def test_every_coefficient(self, p, jmax):
+        # prod (L^k / k!) from quotient-built SeriesQ logs, so neither the
+        # closed form nor the integer core checks itself
+        polys = block_polynomials_up_to(p, jmax)
+        logs = {}
+        seen = [0] * (jmax + 1)
+        for mono in monomials_up_to_weight(p, jmax):
+            s = SeriesQ.one(jmax)
+            for w, k in mono.factors:
+                if w not in logs:
+                    logs[w] = r_w_quotient(w).series(jmax).log()
+                for i in range(1, k + 1):
+                    s = (s * logs[w]) / i
+            for j in range(jmax + 1):
+                assert polys[j].terms.get(mono, 0) == s[j], (str(mono), j)
+                seen[j] += s[j] != 0
+        assert seen == [q.term_count for q in polys]
 
 
 class TestBlockPolynomials:
