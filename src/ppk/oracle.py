@@ -20,12 +20,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .synth import block_polynomials_up_to
+from .synth import evaluate_levels
 from .theta import T_poly, theta0
 from .words import (
     complement,
     counting_factor_counts,
     digit_sum,
+    enumerate_admissible,
     expand,
     factor_count,
 )
@@ -169,6 +170,8 @@ def triple_agreement_scan(
 
     Returns (True, None) on agreement, else (False, first bad (n, t)).
     """
+    # no more workers than rows: the pool starts all of them at once
+    jobs = min(jobs, n_max)
     if jobs <= 1:
         bad = _triple_chunk(p, 0, n_max)
         return bad is None, bad
@@ -239,10 +242,12 @@ def column_check(
     """
     hist = _column_histogram(t, m_max)
     base = Fraction(1, 2 ** digit_sum(t, 2))
+    counts = {
+        w: factor_count(t, complement(w)) for w in enumerate_admissible(2, j_max)
+    }
     rows = []
-    for j, poly in enumerate(block_polynomials_up_to(2, j_max)):
-        counts = {w: factor_count(t, complement(w)) for w in poly.words()}
-        pred = float(poly.evaluate_counts(counts) * base)
+    for j, value in enumerate(evaluate_levels(2, j_max, counts)):
+        pred = float(value * base)
         count = int(hist[j]) if j < len(hist) else 0
         est = count / m_max
         rows.append(ColumnCheckRow(j, count, est, pred, abs(est - pred)))
@@ -257,10 +262,13 @@ def column_scan(
     ts = range(t_max + 1)
     # one digit-sum table for the widest column, sliced by every t
     _digit_sum_table(m_max + t_max, 2)
+    # no more workers than columns: the pool starts all of them at once
+    jobs = min(jobs, len(ts))
     if jobs <= 1:
         return tuple(column_check(t, j_max, m_max, tol) for t in ts)
-    # build P_0..P_jmax in the parent; forked workers inherit both caches
-    block_polynomials_up_to(2, j_max)
+    # build P_0..P_jmax and their index in the parent; forked workers
+    # inherit them with the digit-sum table
+    evaluate_levels(2, j_max, {})
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         checks = pool.map(
             column_check, ts, repeat(j_max), repeat(m_max), repeat(tol)
@@ -309,13 +317,12 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     poly_bad = None
     if rows_bad is None:
         j_top = max(len(c) - 1 for c in brute)
-        polys = block_polynomials_up_to(p, j_top)
         for n in range(n_max):
             t0 = theta0(p, n)
             counts = counting_factor_counts(expand(n, p))
-            for j in range(j_top + 1):
+            for j, value in enumerate(evaluate_levels(p, j_top, counts)):
                 want = brute[n][j] if j < len(brute[n]) else 0
-                if polys[j].evaluate_counts(counts) * t0 != want:
+                if value * t0 != want:
                     poly_bad = (n, j)
                     break
             if poly_bad:

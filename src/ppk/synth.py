@@ -53,6 +53,7 @@ __all__ = [
     "monomial_series",
     "block_polynomial",
     "block_polynomials_up_to",
+    "evaluate_levels",
     "cumulative_polynomial",
     "telescope_identity_holds",
     "telescope_random_check",
@@ -430,6 +431,101 @@ def block_polynomials_up_to(
             if c:
                 tables[j][mono] = Fraction(c, d)
     return tuple(BlockPolynomial(p, j, t) for j, t in enumerate(tables))
+
+
+# ---------------------------------------------------------------------------
+# Sparse evaluation of P_0..P_J.
+#
+# At X_w = |n|_w every monomial with a word absent from n is zero, so the
+# levels are evaluated by walking a trie of the monomials that visits only
+# the words present.  A node is a monomial; its children are keyed by the id
+# of the next factor word (ids in enumerate_admissible order, so a path's
+# ids increase) and then by that factor's exponent.  Each node holds its
+# coefficient in every level where it is nonzero, as an integer numerator
+# over that level's lcm denominator, so the walk adds only integers.
+# ---------------------------------------------------------------------------
+
+
+class _Node:
+    __slots__ = ("nums", "children")
+
+    def __init__(self) -> None:
+        # (level, numerator) for each level where the monomial occurs
+        self.nums: list[tuple[int, int]] = []
+        # word id -> list indexed by exponent, None where it is absent
+        self.children: dict[int, list[_Node | None]] = {}
+
+
+class _LevelIndex:
+    """The trie of P_0..P_J for ``evaluate_levels``."""
+
+    def __init__(self, polys: Sequence[BlockPolynomial]) -> None:
+        words = enumerate_admissible(polys[0].p, len(polys) - 1)
+        self.ids = {w: i for i, w in enumerate(words)}
+        self.dens = [
+            math.lcm(*(c.denominator for c in poly.terms.values()))
+            for poly in polys
+        ]
+        self.root = _Node()
+        for j, poly in enumerate(polys):
+            d = self.dens[j]
+            for mono, coeff in poly.terms.items():
+                node = self.root
+                for w, k in mono.factors:
+                    row = node.children.setdefault(self.ids[w], [None])
+                    row.extend([None] * (k + 1 - len(row)))
+                    if row[k] is None:
+                        row[k] = _Node()
+                    node = row[k]
+                node.nums.append((j, coeff.numerator * (d // coeff.denominator)))
+
+    def evaluate(self, counts: dict[Word, int]) -> tuple[Fraction, ...]:
+        ids = self.ids
+        present = sorted((ids[w], c) for w, c in counts.items() if c and w in ids)
+        acc = [0] * len(self.dens)
+
+        def visit(node: _Node, start: int, value: int) -> None:
+            for j, x in node.nums:
+                acc[j] += value * x
+            children = node.children
+            if not children:
+                return
+            for i in range(start, len(present)):
+                wid, c = present[i]
+                row = children.get(wid)
+                if row is None:
+                    continue
+                v = value
+                for child in row[1:]:
+                    v *= c
+                    if child is not None:
+                        visit(child, i + 1, v)
+
+        visit(self.root, 0, 1)
+        return tuple(Fraction(a, d) for a, d in zip(acc, self.dens))
+
+
+# the index of the build held by block_polynomials_up_to for each (p, jmax)
+_INDEXES: dict[
+    tuple[int, int], tuple[tuple[BlockPolynomial, ...], _LevelIndex]
+] = {}
+
+
+def evaluate_levels(
+    p: int, jmax: int, counts: dict[Word, int]
+) -> tuple[Fraction, ...]:
+    """P_0 .. P_jmax at X_w = counts.get(w, 0), exactly, in one walk.
+
+    Equal to ``[P.evaluate_counts(counts) for P in
+    block_polynomials_up_to(p, jmax)]``, but only the monomials whose words
+    all have a nonzero count are visited.  The index is built on first use
+    from the cached build and rebuilt whenever that build is.
+    """
+    polys = block_polynomials_up_to(p, jmax)
+    held = _INDEXES.get((p, jmax))
+    if held is None or held[0] is not polys:
+        held = _INDEXES[p, jmax] = (polys, _LevelIndex(polys))
+    return held[1].evaluate(counts)
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppk import oracle
 from ppk.oracle import (
     ValuationTriple,
     column_check,
@@ -17,8 +18,16 @@ from ppk.oracle import (
     valuation,
     valuation_by_factorization,
 )
-from ppk.synth import block_polynomials_up_to
+from ppk.synth import block_polynomials_up_to, evaluate_levels
 from ppk.theta import T_poly
+from ppk.words import (
+    complement,
+    counting_factor_counts,
+    digit_sum,
+    enumerate_admissible,
+    expand,
+    factor_count,
+)
 
 
 def carries_when_adding(a: int, b: int, p: int) -> int:
@@ -137,6 +146,22 @@ class TestColumns:
         assert all(rep.ok for rep in reports)
         assert max(rep.max_deviation for rep in reports) == 0.0
 
+    def test_power_of_two_window_matches_exact_prediction(self):
+        # on m < 2^18 every column t <= 64 covers whole periods, so each
+        # sampled count over 2^18 is the exact predicted density
+        m_max = 1 << 18
+        words = enumerate_admissible(2, 4)
+        reports = column_scan(64, 4, m_max)
+        compared = 0
+        for t, rep in enumerate(reports):
+            counts = {w: factor_count(t, complement(w)) for w in words}
+            base = Fraction(1, 2 ** digit_sum(t, 2))
+            exact = evaluate_levels(2, 4, counts)
+            for row in rep.rows:
+                assert Fraction(row.count, m_max) == exact[row.j] * base, (t, row)
+                compared += 1
+        assert compared == 325
+
     def test_estimate_counts_consistent(self):
         est = column_density_estimate(5, 1, 1 << 12)
         assert est.estimate == Fraction(est.count, est.m_max)
@@ -153,3 +178,71 @@ class TestEquivalence:
 
     def test_parallel_matches_serial(self):
         assert equivalence_report(2, 220, jobs=2) == equivalence_report(2, 220)
+
+    def test_wrong_coefficient_is_caught(self):
+        n_max = 64
+        rows = [row_counts_bruteforce(2, n) for n in range(n_max)]
+        j_top = max(len(r) - 1 for r in rows)
+        block_polynomials_up_to.cache_clear()
+        try:
+            polys = block_polynomials_up_to(2, j_top)
+            mono = next(iter(polys[3].terms))
+            polys[3].terms[mono] += Fraction(1, 3)
+            # the first row where the tampered monomial is nonzero
+            first = next(
+                n
+                for n in range(n_max)
+                if all(
+                    counting_factor_counts(expand(n, 2)).get(w, 0)
+                    for w, _ in mono.factors
+                )
+            )
+            rep = equivalence_report(2, n_max)
+        finally:
+            block_polynomials_up_to.cache_clear()
+        assert rep.triple_ok and rep.rows_ok
+        assert not rep.poly_ok and not rep.ok
+        assert rep.poly_counterexample == (first, 3)
+        assert equivalence_report(2, n_max).ok
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(RecordingPool, "seen", seen, raising=False)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+        return seen
+
+    def test_triple_scan_no_more_workers_than_rows(self, pools):
+        assert triple_agreement_scan(2, 16, jobs=64) == (True, None)
+        assert triple_agreement_scan(2, 16, jobs=2) == (True, None)
+        assert triple_agreement_scan(2, 1, jobs=8) == (True, None)
+        assert pools == [16, 2]
+
+    def test_column_scan_no_more_workers_than_columns(self, pools):
+        serial = column_scan(3, 2, 1 << 8)
+        assert column_scan(3, 2, 1 << 8, jobs=64) == serial
+        assert column_scan(0, 2, 1 << 8, jobs=64) == serial[:1]
+        assert pools == [4]
+
+    def test_verify_caps_the_triple_scan(self, pools):
+        assert equivalence_report(3, 5, jobs=64).ok
+        assert pools == [5]

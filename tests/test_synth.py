@@ -12,7 +12,9 @@ from ppk.synth import (
     alpha_coefficient,
     block_polynomial,
     block_polynomials_up_to,
+    _LevelIndex,
     cumulative_polynomial,
+    evaluate_levels,
     log_rw_series,
     monomial_series,
     monomials_up_to_weight,
@@ -23,7 +25,14 @@ from ppk.synth import (
     telescope_random_check,
 )
 from ppk.theta import T_poly, theta, theta0
-from ppk.words import Word, enumerate_admissible, expand
+from ppk.words import (
+    Word,
+    complement,
+    counting_factor_counts,
+    enumerate_admissible,
+    expand,
+    factor_count,
+)
 
 W = lambda text, p=2: Word.parse(text, p)
 
@@ -312,6 +321,68 @@ class TestBlockPolynomials:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             block_polynomial(2, -1)
+
+
+def dense_levels(p, jmax, counts):
+    return tuple(
+        poly.evaluate_counts(counts) for poly in block_polynomials_up_to(p, jmax)
+    )
+
+
+class TestEvaluateLevels:
+    @pytest.mark.parametrize(
+        "p, jmax, rows",
+        [
+            (2, 9, range(1024)),
+            (3, 5, range(729)),
+            (5, 4, range(0, 5**5, 37)),
+            (7, 3, range(0, 7**4, 31)),
+        ],
+    )
+    def test_rows_match_dense(self, p, jmax, rows):
+        for n in rows:
+            counts = counting_factor_counts(expand(n, p))
+            assert evaluate_levels(p, jmax, counts) == dense_levels(
+                p, jmax, counts
+            ), n
+
+    def test_column_counts_with_zeros_match_dense(self):
+        words = enumerate_admissible(2, 4)
+        zeros = 0
+        for t in range(65):
+            counts = {w: factor_count(t, complement(w)) for w in words}
+            zeros += sum(c == 0 for c in counts.values())
+            assert evaluate_levels(2, 4, counts) == dense_levels(2, 4, counts), t
+        assert zeros
+
+    def test_empty_counts_leave_the_constant(self):
+        assert evaluate_levels(2, 3, {}) == (1, 0, 0, 0)
+
+    def test_exponent_gap(self):
+        # X_w and X_w^3 without X_w^2: the trie must not stop at the gap
+        w, v = W("10"), W("100")
+        polys = (
+            BlockPolynomial(2, 0, {Monomial(()): Fraction(1)}),
+            BlockPolynomial(
+                2,
+                1,
+                {
+                    Monomial.of([(w, 1)]): Fraction(1, 2),
+                    Monomial.of([(w, 3)]): Fraction(-1, 3),
+                    Monomial.of([(w, 3), (v, 2)]): Fraction(5, 7),
+                },
+            ),
+            BlockPolynomial(2, 2, {Monomial.of([(w, 3)]): Fraction(3, 4)}),
+        )
+        index = _LevelIndex(polys)
+        for counts in ({}, {w: 2}, {w: 3, v: 1}, {v: 4}, {w: 0, v: 2}):
+            want = tuple(poly.evaluate_counts(counts) for poly in polys)
+            assert index.evaluate(counts) == want, counts
+        assert index.evaluate({w: 2, v: 1}) == (
+            1,
+            Fraction(1) - Fraction(8, 3) + Fraction(40, 7),
+            Fraction(6),
+        )
 
 
 class TestCumulative:
