@@ -17,9 +17,9 @@ where r_w is the telescoping quotient of normalized row polynomials
 
 which also has the closed form 1 + alpha_w x^{len(w)-1} / (Tbar_{w_L}
 Tbar_{w_R}) with an explicit rational alpha_w.  This module builds r_w both
-ways, takes log r_w = log(1 + u) from the closed form, enumerates monomials
-by total weight, and assembles the polynomials exactly, on integer
-numerators over one denominator per series.
+ways, integrates the logarithmic derivative of the closed form for log r_w,
+enumerates monomials by total weight, and assembles the polynomials exactly,
+on integer numerators over one denominator per series.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
-from .theta import T_poly, Tbar, _ext_pair
+from .theta import Tbar, _ext_pair, _row_coeffs
 from .words import (
     Word,
     counting_factor_counts,
@@ -70,15 +70,19 @@ def alpha_coefficient(w: Word) -> Fraction:
     """
     if not w.is_admissible:
         raise ValueError(f"alpha is defined for admissible words only: {w}")
-    d = w.digits
-    p = w.p
-    a = Fraction(p) ** (len(d) - 2)
-    a *= Fraction(d[0], d[0] + 1)
-    a *= Fraction(p - 1 - d[-1], d[-1] + 1)
+    return Fraction(*_alpha(w.p, w.digits))
+
+
+def _alpha(p: int, d: Sequence[int]) -> tuple[int, int]:
+    """alpha_w as a reduced (numerator, denominator) for the digits d of an
+    admissible word."""
+    a = p ** (len(d) - 2) * d[0] * (p - 1 - d[-1])
+    b = (d[0] + 1) * (d[-1] + 1)
     for v in d[1:-1]:
         if v:
-            a /= (v + 1) ** 2
-    return a
+            b *= (v + 1) ** 2
+    g = math.gcd(a, b)
+    return a // g, b // g
 
 
 def r_w_quotient(w: Word) -> RationalFunctionQ:
@@ -110,8 +114,6 @@ def r_w_closed(w: Word) -> RationalFunctionQ:
 # ---------------------------------------------------------------------------
 
 _Offset = tuple[int, int, list[int]]
-# 1/Tbar_v as (c, nums): coefficient k is nums[k] / c^k
-_Inverse = tuple[int, list[int]]
 
 
 def _trimmed(nums: list[int]) -> list[int]:
@@ -145,30 +147,18 @@ def _times(a: _Offset, b: _Offset, k: int, order: int) -> _Offset:
     return _reduced(wa + wb, da * db * k, _mul(xs, ys, order - wa - wb + 1))
 
 
-def _inverse_tbar(v: Word, order: int) -> _Inverse:
-    """1/Tbar_v = T_v(0)/T_v to x^order as (c, nums) with c = T_v(0):
-    coefficient k is nums[k] / c^k, and every nums[k] is an integer."""
-    t = [int(x) for x in T_poly(v.p, v.value).coeffs]
-    c = t[0]
-    nums = [1]
-    for k in range(1, order + 1):
-        top = min(k, len(t) - 1)
-        nums.append(
-            -sum(t[i] * nums[k - i] * c ** (i - 1) for i in range(1, top + 1))
-        )
-    return c, _trimmed(nums)
-
-
-def _log_rw(w: Word, order: int, inverses: dict[Word, _Inverse]) -> _Offset:
+def _log_rw(w: Word, order: int) -> _Offset:
     """log r_w to x^order from the closed form, as an offset series.
 
-    log r_w = log(1 + u) with u = alpha_w x^m S, m = len(w) - 1 and
-    S = 1/(Tbar_{w_L} Tbar_{w_R}).  u^i starts at x^(i m), so the sum stops
-    at i = order // m and S is needed only to x^(order - m).  ``inverses``
-    holds 1/Tbar_v at this order for each word v seen so far.
+    With D = T_{w_L} T_{w_R}, c = D(0), alpha_w = a/b and m = len(w) - 1,
+    r_w = (b D + a c x^m) / (b D), so its logarithmic derivative is
+
+        a c x^(m-1) E / G,  E = m D - x D',  G = (b D + a c x^m) D.
+
+    E / G is divided out to x^(order - m), coefficient k as an integer over
+    G(0)^(k+1), and integrated termwise: term k lands on x^(m+k) over m + k.
     """
-    alpha = alpha_coefficient(w)
-    a, b = alpha.numerator, alpha.denominator
+    a, b = _alpha(w.p, w.digits)
     m = len(w.digits) - 1
     n = order - m
     if n < 0:
@@ -176,34 +166,27 @@ def _log_rw(w: Word, order: int, inverses: dict[Word, _Inverse]) -> _Offset:
     if n == 0:
         return m, b, [a]
     wl, wr, _ = truncations(w)
-    for v in (wl, wr):
-        if v not in inverses:
-            inverses[v] = _inverse_tbar(v, order)
-    (cl, sl), (cr, sr) = inverses[wl], inverses[wr]
-    # coefficient k of S, and of every power S^i, is an integer over c^k
-    c = cl * cr
-    cpow = [c**k for k in range(n + 1)]
-    s = _mul(
-        [x * cr**k for k, x in enumerate(sl[: n + 1])],
-        [y * cl**k for k, y in enumerate(sr[: n + 1])],
-        n + 1,
-    )
-    # term i of the sum is (-1)^(i+1) a^i (S^i)_r x^(m + shift + r) /
-    # (i b^i c^r) with shift = (i - 1) m; all go over the one denominator
-    # lcm(1..top) b^top c^n
-    top = order // m
-    q = math.lcm(*range(1, top + 1))
-    nums = [0] * (n + 1)
-    power = [1]
-    for i in range(1, top + 1):
-        shift = (i - 1) * m
-        power = _mul(power, s, n + 1 - shift)
-        scale = (q // i) * a**i * b ** (top - i)
-        if i % 2 == 0:
-            scale = -scale
-        for r, x in enumerate(power):
-            nums[shift + r] += scale * x * cpow[n - r]
-    return _reduced(m, q * b**top * cpow[n], nums)
+    d = _mul(_row_coeffs(w.p, wl.value), _row_coeffs(w.p, wr.value), n + 1)
+    c = d[0]
+    e = [(m - k) * x for k, x in enumerate(d)] + [0] * (n + 1 - len(d))
+    bd = [b * x for x in d] + [0] * (m + 1 - len(d))
+    bd[m] += a * c
+    g = _mul(bd, d, n + 1)
+    g0 = g[0]
+    gpow = [g0**k for k in range(n + 2)]
+    # q[k] = (E / G)_k * g0^(k+1)
+    q: list[int] = []
+    for k in range(n + 1):
+        top = min(k, len(g) - 1)
+        q.append(
+            e[k] * gpow[k]
+            - sum(g[i] * q[k - i] * gpow[i - 1] for i in range(1, top + 1))
+        )
+    span = math.lcm(*range(m, order + 1))
+    nums = [
+        a * c * x * gpow[n - k] * (span // (m + k)) for k, x in enumerate(q)
+    ]
+    return _reduced(m, gpow[n + 1] * span, nums)
 
 
 def _to_series(s: _Offset, order: int) -> SeriesQ:
@@ -214,7 +197,7 @@ def _to_series(s: _Offset, order: int) -> SeriesQ:
 
 def log_rw_series(w: Word, order: int) -> SeriesQ:
     """log r_w as a series, from the closed form of r_w."""
-    return _to_series(_log_rw(w, order, {}), order)
+    return _to_series(_log_rw(w, order), order)
 
 
 @functools.cache
@@ -326,9 +309,8 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
             f"order {order} is below the monomial weight {mono.weight}"
         )
     s: _Offset = (0, 1, [1])
-    inverses: dict[Word, _Inverse] = {}
     for w, k in mono.factors:
-        ls = _log_rw(w, order, inverses)
+        ls = _log_rw(w, order)
         for i in range(1, k + 1):
             s = _times(s, ls, i, order)
     return _to_series(s, order)
@@ -419,8 +401,7 @@ def block_polynomials_up_to(
     up to x^jmax.
     """
     words = enumerate_admissible(p, jmax)
-    inverses: dict[Word, _Inverse] = {}
-    logs = [_log_rw(w, jmax, inverses) for w in words]
+    logs = [_log_rw(w, jmax) for w in words]
     tables: list[dict[Monomial, Fraction]] = [{} for _ in range(jmax + 1)]
     root: _Offset = (0, 1, [1])
     walk = _monomial_tree(
@@ -634,18 +615,13 @@ def rw_identity_scan(p: int, max_len: int) -> tuple[int, list[Word]]:
                 checked += 1
                 c_w = cf * (a + 1)
                 c_wlr = cl if lpair is not None else 1
-                d0 = digits[0]
-                anum = p ** (depth - 1) * d0 * (p - 1 - a)
-                aden = (d0 + 1) * (a + 1)
-                for v in digits[1:]:
-                    if v:
-                        aden *= (v + 1) ** 2
-                expected = Fraction(c_w * c_wlr * anum, aden)
-                ok = expected.denominator == 1 and expected < half_lane
+                anum, aden = _alpha(p, (*digits, a))
+                expected, rest = divmod(c_w * c_wlr * anum, aden)
+                ok = not rest and expected < half_lane
                 if ok:
                     lhs = child_pair[0] * (lpair[0] if lpair is not None else 1)
                     rhs = (child_l[0] if child_l is not None else 1) * pair[0]
-                    ok = lhs == rhs + (int(expected) << (lane * depth))
+                    ok = lhs == rhs + (expected << (lane * depth))
                 if not ok:
                     failures.append(Word(p, tuple(digits) + (a,)))
             digits.append(a)

@@ -46,12 +46,8 @@ def _ext_pair(
     )
 
 
-def T_poly(p: int, n: int) -> PolyQ:
-    """Row polynomial T_n(x) over base p; coefficients are the theta counts."""
-    if p < 2:
-        raise ValueError("base must be >= 2")
-    if n < 0:
-        raise ValueError("row index must be >= 0")
+def _row_coeffs(p: int, n: int) -> list[int]:
+    """Coefficients of T_n(x) as integers, constant term first."""
     # a row m <= n has T_m(1) = m + 1 entries, which bounds every coefficient
     lane = (n + 1).bit_length()
     pair, tz = (1, 0), 0  # (T_0, T_{-1}) for the empty prefix
@@ -63,7 +59,16 @@ def T_poly(p: int, n: int) -> PolyQ:
     while packed:
         coeffs.append(packed & mask)
         packed >>= lane
-    return PolyQ(coeffs)
+    return coeffs
+
+
+def T_poly(p: int, n: int) -> PolyQ:
+    """Row polynomial T_n(x) over base p; coefficients are the theta counts."""
+    if p < 2:
+        raise ValueError("base must be >= 2")
+    if n < 0:
+        raise ValueError("row index must be >= 0")
+    return PolyQ(_row_coeffs(p, n))
 
 
 def theta(p: int, j: int, n: int) -> int:

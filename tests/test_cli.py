@@ -464,6 +464,26 @@ class TestPinnedOutputs:
         assert hashlib.sha256(run.stdout).hexdigest() == pin["sha256"]
 
 
+class TestHighOrderGoldens:
+    # coefficient series far above the default order 12, where the
+    # denominators of log r_w grow the most
+    SHA256 = {
+        "coeffs --monomial 1010 --order 120 --format json":
+            "58d633ad6c153df3fa2f8c3965bbabfd728115dcc42d41359637d9653ec1264d",
+        "coeffs --p 3 --monomial 20^2 --order 60 --format csv":
+            "a3471bba22a90a323d60fb35ffcb033e3e13b471a15fad1708d391f1a3eac514",
+    }
+
+    @pytest.mark.parametrize("command", list(SHA256))
+    def test_exit_and_sha256(self, command):
+        run = subprocess.run(
+            [sys.executable, "-m", "ppk", *command.split()],
+            capture_output=True, env=SRC_ENV,
+        )
+        assert run.returncode == 0
+        assert hashlib.sha256(run.stdout).hexdigest() == self.SHA256[command]
+
+
 class TestImports:
     def test_algebra_commands_never_load_numpy(self):
         # numpy is imported by the root finder and the oracles only, so

@@ -133,7 +133,8 @@ class TestLogSeries:
 
     def test_truncation_edges_match_quotient(self):
         # every order 0..12, including m > order (zero series) and
-        # m == order (alpha_w x^m alone), with m = len(w) - 1
+        # m == order (alpha_w x^m alone), with m = len(w) - 1; two words
+        # each with m = 1, 2, 3 also at every order up to 40
         rng = random.Random(46)
         for p in (2, 3, 5, 7):
             words = enumerate_admissible(p, 1 if p > 3 else 2)
@@ -143,10 +144,17 @@ class TestLogSeries:
                     digits.extend(rng.randrange(p) for _ in range(length - 2))
                     digits.append(rng.randrange(p - 1))
                     words.append(Word(p, tuple(digits)))
-            for w in words:
+            high = []
+            for m in (1, 2, 3):
+                pool = [
+                    w for w in enumerate_admissible(p, m)
+                    if len(w.digits) == m + 1
+                ]
+                high.extend(rng.sample(pool, min(2, len(pool))))
+            for w in words + high:
                 rw = r_w_quotient(w)
                 m = len(w.digits) - 1
-                for order in range(13):
+                for order in range(41 if w in high else 13):
                     s = log_rw_series(w, order)
                     assert s == rw.series(order).log(), (w, order)
                     if m > order:
