@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, squarefree_decomposition
-from .synth import Monomial, r_w_quotient
+from .synth import Monomial, _rw_parts, r_w_quotient
 from .theta import Tbar
 from .words import Word, enumerate_admissible
 
@@ -126,7 +126,7 @@ def poly_roots(poly: PolyQ) -> list[tuple[complex, int]]:
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Root data of the canonical r_w with the convergence verdict.
+    """Root data of r_w in lowest terms with the convergence verdict.
 
     dominant_singularity is a root of least modulus (within a relative
     1e-9, which absorbs float noise): of those the one nearest the real
@@ -159,9 +159,9 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
         raise ValueError("tol must be positive and finite")
     if not w.is_admissible:
         raise ValueError(f"classification needs an admissible word: {w}")
-    rf = r_w_quotient(w)
-    zeros = tuple(poly_roots(rf.num))
-    poles = tuple(poly_roots(rf.den))
+    num, den = _rw_parts(w)
+    zeros = tuple(poly_roots(PolyQ(num)))
+    poles = tuple(poly_roots(PolyQ(den)))
     roots = zeros + poles
     if roots:
         radius = min(abs(r) for r, _ in roots)
@@ -180,7 +180,7 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
         verdict = "boundary"
     else:
         verdict = "convergent"
-    r_at_one = rf.eval(1)
+    r_at_one = Fraction(sum(num), sum(den))
     total = math.log(r_at_one) if verdict == "convergent" else None
     return RootProfile(
         w, tol, zeros, poles, max_xi, radius, dominant, band, verdict, r_at_one, total
@@ -191,12 +191,12 @@ def log_rat_coeff_exact(profile: RootProfile, n: int) -> complex:
     """[x^n] log r_w from the root factorization: -(1/n) sum eps_i xi_i^n."""
     if n < 1:
         raise ValueError("coefficient index must be >= 1")
-    rf = r_w_quotient(profile.word)
+    num, den = _rw_parts(profile.word)
     have = sum(m for _, m in profile.zeros), sum(m for _, m in profile.poles)
-    if have != (rf.num.degree, rf.den.degree):
+    if have != (len(num) - 1, len(den) - 1):
         raise ValueError(
             f"incomplete root profile for {profile.word}: {have} of "
-            f"({rf.num.degree}, {rf.den.degree}) roots"
+            f"({len(num) - 1}, {len(den) - 1}) roots"
         )
     acc = 0j
     for root, mult in profile.zeros:

@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .synth import evaluate_levels
-from .theta import T_poly, theta0
+from .theta import _row_coeffs, theta0
 from .words import (
     complement,
     counting_factor_counts,
@@ -310,7 +310,7 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     for n in range(n_max):
         counts = row_counts_bruteforce(p, n)
         brute.append(counts)
-        if [int(c) for c in T_poly(p, n).coeffs] != counts:
+        if _row_coeffs(p, n) != counts:
             rows_bad = n
             break
 

@@ -97,10 +97,27 @@ def r_w_quotient(w: Word) -> RationalFunctionQ:
 
 def r_w_closed(w: Word) -> RationalFunctionQ:
     """r_w from the closed form 1 + alpha x^{len(w)-1}/(Tbar_{w_L} Tbar_{w_R})."""
+    num, bd = _rw_parts(w)
+    return RationalFunctionQ(PolyQ(num), PolyQ(bd))
+
+
+def _rw_parts(w: Word) -> tuple[list[int], list[int]]:
+    """r_w = N / (b D) in lowest terms, as integer coefficient lists.
+
+    With D = T_{w_L} T_{w_R}, c = D(0), alpha_w = a/b and m = len(w) - 1,
+    N = b D + a c x^m.  A common factor of N and b D divides a c x^m, and
+    b D(0) = b c != 0, so there is none.
+    """
+    if not w.is_admissible:
+        raise ValueError(f"the closed form of r_w needs an admissible word: {w}")
+    a, b = _alpha(w.p, w.digits)
+    m = len(w.digits) - 1
     wl, wr, _ = truncations(w)
-    den = Tbar(w.p, wl) * Tbar(w.p, wr)
-    num = den + PolyQ.monomial(alpha_coefficient(w), len(w.digits) - 1)
-    return RationalFunctionQ(num, den)
+    tl, tr = _row_coeffs(w.p, wl.value), _row_coeffs(w.p, wr.value)
+    bd = [b * x for x in _mul(tl, tr, len(tl) + len(tr) - 1)]
+    num = bd + [0] * (m + 1 - len(bd))
+    num[m] += a * tl[0] * tr[0]
+    return num, bd
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +133,9 @@ def r_w_closed(w: Word) -> RationalFunctionQ:
 _Offset = tuple[int, int, list[int]]
 
 
-def _trimmed(nums: list[int]) -> list[int]:
+def _reduced(w: int, d: int, nums: list[int]) -> _Offset:
     while nums and not nums[-1]:
         nums.pop()
-    return nums
-
-
-def _reduced(w: int, d: int, nums: list[int]) -> _Offset:
-    nums = _trimmed(nums)
     g = math.gcd(d, *nums)
     if g > 1:
         return w, d // g, [c // g for c in nums]
@@ -150,31 +162,27 @@ def _times(a: _Offset, b: _Offset, k: int, order: int) -> _Offset:
 def _log_rw(w: Word, order: int) -> _Offset:
     """log r_w to x^order from the closed form, as an offset series.
 
-    With D = T_{w_L} T_{w_R}, c = D(0), alpha_w = a/b and m = len(w) - 1,
-    r_w = (b D + a c x^m) / (b D), so its logarithmic derivative is
-
-        a c x^(m-1) E / G,  E = m D - x D',  G = (b D + a c x^m) D.
-
+    With r_w = N / (b D) from ``_rw_parts`` and N - b D = a c x^m, the
+    logarithmic derivative of r_w is a c x^(m-1) E / G with E = m D - x D'
+    and G = N D; a constant factor of D cancels, so D is taken primitive.
     E / G is divided out to x^(order - m), coefficient k as an integer over
     G(0)^(k+1), and integrated termwise: term k lands on x^(m+k) over m + k.
     """
-    a, b = _alpha(w.p, w.digits)
     m = len(w.digits) - 1
     n = order - m
     if n < 0:
         return m, 1, []
-    if n == 0:
+    if n == 0:  # only the leading term alpha_w x^m
+        a, b = _alpha(w.p, w.digits)
         return m, b, [a]
-    wl, wr, _ = truncations(w)
-    d = _mul(_row_coeffs(w.p, wl.value), _row_coeffs(w.p, wr.value), n + 1)
-    c = d[0]
+    num, bd = _rw_parts(w)
+    ac = sum(num) - sum(bd)  # N(1) - b D(1)
+    content = math.gcd(*bd)
+    d = [x // content for x in bd[: n + 1]]
     e = [(m - k) * x for k, x in enumerate(d)] + [0] * (n + 1 - len(d))
-    bd = [b * x for x in d] + [0] * (m + 1 - len(d))
-    bd[m] += a * c
-    g = _mul(bd, d, n + 1)
-    g0 = g[0]
-    gpow = [g0**k for k in range(n + 2)]
-    # q[k] = (E / G)_k * g0^(k+1)
+    g = _mul(num, d, n + 1)
+    gpow = [g[0] ** k for k in range(n + 2)]
+    # q[k] = (E / G)_k * G(0)^(k+1)
     q: list[int] = []
     for k in range(n + 1):
         top = min(k, len(g) - 1)
@@ -183,9 +191,7 @@ def _log_rw(w: Word, order: int) -> _Offset:
             - sum(g[i] * q[k - i] * gpow[i - 1] for i in range(1, top + 1))
         )
     span = math.lcm(*range(m, order + 1))
-    nums = [
-        a * c * x * gpow[n - k] * (span // (m + k)) for k, x in enumerate(q)
-    ]
+    nums = [ac * x * gpow[n - k] * (span // (m + k)) for k, x in enumerate(q)]
     return _reduced(m, gpow[n + 1] * span, nums)
 
 
@@ -486,10 +492,8 @@ class _LevelIndex:
         return tuple(Fraction(a, d) for a, d in zip(acc, self.dens))
 
 
-# the index of the build held by block_polynomials_up_to for each (p, jmax)
-_INDEXES: dict[
-    tuple[int, int], tuple[tuple[BlockPolynomial, ...], _LevelIndex]
-] = {}
+# the index of the last build asked for; an older build is not kept alive
+_INDEX: tuple[tuple[BlockPolynomial, ...], _LevelIndex] | None = None
 
 
 def evaluate_levels(
@@ -499,14 +503,14 @@ def evaluate_levels(
 
     Equal to ``[P.evaluate_counts(counts) for P in
     block_polynomials_up_to(p, jmax)]``, but only the monomials whose words
-    all have a nonzero count are visited.  The index is built on first use
-    from the cached build and rebuilt whenever that build is.
+    all have a nonzero count are visited.  The index of the last build asked
+    for is kept, and rebuilt when another build is asked for.
     """
+    global _INDEX
     polys = block_polynomials_up_to(p, jmax)
-    held = _INDEXES.get((p, jmax))
-    if held is None or held[0] is not polys:
-        held = _INDEXES[p, jmax] = (polys, _LevelIndex(polys))
-    return held[1].evaluate(counts)
+    if _INDEX is None or _INDEX[0] is not polys:
+        _INDEX = (polys, _LevelIndex(polys))
+    return _INDEX[1].evaluate(counts)
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .ratcore import PolyQ
-from .words import Word, digit_sum, expand, padic_valuation
+from .words import Word, expand, padic_valuation
 
 
 def _ext_pair(
@@ -75,11 +75,8 @@ def theta(p: int, j: int, n: int) -> int:
     """Entries of row n exactly divisible by p^j; zero outside the support."""
     if j < 0:
         return 0
-    t = T_poly(p, n)
-    if j > t.degree:
-        return 0
-    c = t.coeffs[j]
-    return int(c)
+    coeffs = _row_coeffs(p, n)
+    return coeffs[j] if j < len(coeffs) else 0
 
 
 def theta0(p: int, n: int) -> int:
@@ -96,9 +93,8 @@ def Tbar(p: int, v: Union[int, Word]) -> PolyQ:
         if v.p != p:
             raise ValueError("word base does not match p")
         v = v.value
-    t = T_poly(p, v)
-    c0 = t.coeffs[0]
-    return t * (Fraction(1) / c0)
+    coeffs = _row_coeffs(p, v)
+    return PolyQ(Fraction(c, coeffs[0]) for c in coeffs)
 
 
 def psi(p: int, j: int, n: int) -> int:

@@ -1,6 +1,8 @@
 """Building-block rational functions and synthesis of the level polynomials."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from ppk.synth import (
     block_polynomial,
     block_polynomials_up_to,
     _LevelIndex,
+    _rw_parts,
     cumulative_polynomial,
     evaluate_levels,
     log_rw_series,
@@ -66,6 +69,8 @@ class TestAlphaAndRw:
         for bad in (W("11"), W("01"), W("1")):
             with pytest.raises(ValueError):
                 alpha_coefficient(bad)
+            with pytest.raises(ValueError):
+                r_w_closed(bad)
 
     def test_rw_golden(self):
         assert r_w_quotient(W("10")) == RationalFunctionQ(PolyQ([2, 1]), PolyQ([2]))
@@ -77,9 +82,17 @@ class TestAlphaAndRw:
         )
 
     def test_closed_equals_quotient(self):
-        for p, max_len in ((2, 7), (3, 5), (5, 4)):
+        for p, max_len in ((2, 7), (3, 5), (5, 4), (7, 4)):
             for w in enumerate_admissible(p, max_len - 1):
-                assert r_w_closed(w) == r_w_quotient(w), w
+                rf = r_w_quotient(w)
+                assert r_w_closed(w) == rf, w
+                # (N, bD) is already in lowest terms: the canonical quotient
+                # is it times one positive rational
+                num, den = _rw_parts(w)
+                scale = rf.den.coeffs[0] / den[0]
+                assert scale > 0, w
+                assert rf.num == PolyQ(num) * scale, w
+                assert rf.den == PolyQ(den) * scale, w
 
     def test_leading_correction_shape(self):
         # r_w - 1 starts at x^{mu-1} with the alpha coefficient on top
@@ -362,6 +375,15 @@ class TestEvaluateLevels:
             zeros += sum(c == 0 for c in counts.values())
             assert evaluate_levels(2, 4, counts) == dense_levels(2, 4, counts), t
         assert zeros
+
+    def test_index_keeps_only_the_last_build(self):
+        block_polynomials_up_to.cache_clear()
+        evaluate_levels(2, 3, {})
+        ref = weakref.ref(block_polynomials_up_to(2, 3)[0])
+        evaluate_levels(2, 4, {})
+        block_polynomials_up_to.cache_clear()
+        gc.collect()
+        assert ref() is None
 
     def test_empty_counts_leave_the_constant(self):
         assert evaluate_levels(2, 3, {}) == (1, 0, 0, 0)
