@@ -1,6 +1,7 @@
 """Building-block rational functions and synthesis of the level polynomials."""
 
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -15,6 +16,7 @@ from ppk.synth import (
     block_polynomial,
     block_polynomials_up_to,
     _LevelIndex,
+    _mul,
     _rw_parts,
     cumulative_polynomial,
     evaluate_levels,
@@ -27,7 +29,7 @@ from ppk.synth import (
     telescope_identity_holds,
     telescope_random_check,
 )
-from ppk.theta import T_poly, theta, theta0
+from ppk.theta import T_poly, Tbar, theta, theta0
 from ppk.words import (
     Word,
     complement,
@@ -35,6 +37,7 @@ from ppk.words import (
     enumerate_admissible,
     expand,
     factor_count,
+    truncations,
 )
 
 W = lambda text, p=2: Word.parse(text, p)
@@ -55,6 +58,44 @@ P4_TEXT = (
     " + X[10100] + 1/4*X[10110] + X[11000] + 1/4*X[11010] + 1/4*X[11100]"
     " + 1/16*X[11110]"
 )
+
+
+def counting_words(p, max_len):
+    """Every word with a nonzero lead and at most max_len digits."""
+    words = [Word(p, (c,)) for c in range(1, p)]
+    frontier = words
+    for _ in range(max_len - 1):
+        frontier = [Word(p, w.digits + (a,)) for w in frontier for a in range(p)]
+        words.extend(frontier)
+    return words
+
+
+class TestMul:
+    def test_matches_polyq_product_truncated(self):
+        # interior zeros, empty lists, and n below, at and past the length
+        rng = random.Random(77)
+
+        def sparse_row():
+            size = rng.randint(0, 7)
+            row = [rng.choice((0, 0, rng.randint(-50, 50))) for _ in range(size)]
+            if row and not row[-1]:
+                row[-1] = rng.choice((-2, 3))
+            return row
+
+        for _ in range(300):
+            xs, ys = sparse_row(), sparse_row()
+            full = (PolyQ(xs) * PolyQ(ys)).coeffs
+            length = len(xs) + len(ys) - 1
+            for n in {0, 1, length - 1, length, length + 3}:
+                got = _mul(xs, ys, n)
+                want = list(full[:n])
+                assert len(got) <= max(n, 0)
+                assert got + [0] * (n - len(got)) == want + [0] * (n - len(want))
+
+    def test_interior_zeros(self):
+        assert _mul([1, 0, 2], [3, 0, 0, 1], 10) == [3, 0, 6, 1, 0, 2]
+        assert _mul([1, 0, 2], [3, 0, 0, 1], 3) == [3, 0, 6]
+        assert _mul([5], [7], 0) == []
 
 
 class TestAlphaAndRw:
@@ -80,6 +121,36 @@ class TestAlphaAndRw:
         assert r_w_quotient(W("110")) == RationalFunctionQ(
             PolyQ([4, 2, 1]), PolyQ([4, 2])
         )
+
+    def test_quotient_digest(self):
+        # every admissible word at p = 2, 3, 5, 7 (lengths <= 10, 6, 4, 3);
+        # the digest was taken from the Tbar-product build of r_w_quotient
+        h = hashlib.sha256()
+        count = 0
+        for p, max_len in ((2, 10), (3, 6), (5, 4), (7, 3)):
+            for w in enumerate_admissible(p, max_len - 1):
+                rf = r_w_quotient(w)
+                num = ",".join(str(c) for c in rf.num.coeffs)
+                den = ",".join(str(c) for c in rf.den.coeffs)
+                h.update(f"{p} {w} {num} {den}\n".encode())
+                count += 1
+        assert count == 1779
+        assert h.hexdigest() == (
+            "6b57db4ecc3402a177c6a7371b198c374728a53e24be5e3a12091ff7a973d71b"
+        )
+
+    def test_quotient_matches_tbar_definition(self):
+        # every counting word, single digits and a last digit p - 1 included
+        for p, max_len in ((2, 6), (3, 4), (5, 3)):
+            for w in counting_words(p, max_len):
+                wl, wr, wlr = truncations(w)
+                want = RationalFunctionQ(
+                    Tbar(p, w) * Tbar(p, wlr), Tbar(p, wr) * Tbar(p, wl)
+                )
+                assert r_w_quotient(w) == want, w
+        assert r_w_quotient(W("2", 3)) == RationalFunctionQ(PolyQ([1]))
+        with pytest.raises(ValueError):
+            r_w_quotient(W("01"))
 
     def test_closed_equals_quotient(self):
         for p, max_len in ((2, 7), (3, 5), (5, 4), (7, 4)):
@@ -454,7 +525,36 @@ class TestTelescope:
         with pytest.raises(ValueError):
             telescope_identity_holds(W("011"), 6)
 
-    @pytest.mark.parametrize("p,count", [(2, 120), (3, 80), (5, 50)])
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            telescope_identity_holds(W("110"), -1)
+
+    @pytest.mark.parametrize(
+        "text,p", [("110110", 2), ("2101", 3), ("430", 5), ("6051", 7)]
+    )
+    def test_miscounted_factor_fails(self, monkeypatch, text, p):
+        # dropping one occurrence of an admissible factor w changes the
+        # product first at x^m, m = len(w) - 1, where r_w - 1 starts with
+        # alpha_w != 0: the check holds to x^(m-1) and fails from x^m on
+        v = W(text, p)
+        assert telescope_identity_holds(v, 10)
+        real = counting_factor_counts
+        admissible = [w for w in real(v) if w.is_admissible]
+        assert admissible
+        for dropped in admissible:
+
+            def miscounted(word, max_len=None):
+                counts = real(word, max_len)
+                counts[dropped] -= 1
+                return counts
+
+            monkeypatch.setattr("ppk.synth.counting_factor_counts", miscounted)
+            m = len(dropped) - 1
+            assert telescope_identity_holds(v, m - 1), dropped
+            assert not telescope_identity_holds(v, m), dropped
+            assert not telescope_identity_holds(v, 10), dropped
+
+    @pytest.mark.parametrize("p,count", [(2, 120), (3, 80), (5, 50), (7, 40)])
     def test_random_words(self, p, count):
         checked, failures = telescope_random_check(p, count, 9, 10, seed=500 + p)
         assert checked == count
