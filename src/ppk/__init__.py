@@ -27,7 +27,7 @@ from .ratcore import (
     rational_from_str,
     rational_to_str,
 )
-from .theta import T_poly, Tbar, psi, theta, theta0, tilde_theta
+from .theta import T_poly, Tbar, theta0
 from .words import Word, expand, factor_count, weight
 from .synth import (
     BlockPolynomial,
@@ -61,10 +61,7 @@ __all__ = [
     "weight",
     "T_poly",
     "Tbar",
-    "theta",
     "theta0",
-    "psi",
-    "tilde_theta",
     "Monomial",
     "BlockPolynomial",
     "alpha_coefficient",

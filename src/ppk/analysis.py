@@ -116,8 +116,6 @@ def poly_roots(poly: PolyQ) -> list[tuple[complex, int]]:
 
     out: list[tuple[complex, int]] = []
     for factor, mult in squarefree_decomposition(poly):
-        if factor.degree < 1:
-            continue
         lead_first = [float(c) for c in reversed(factor.coeffs)]
         out.extend((complex(r), mult) for r in numpy.roots(lead_first))
     out.sort(key=lambda rm: (abs(rm[0]), cmath.phase(rm[0]), rm[1]))
@@ -140,7 +138,7 @@ class RootProfile:
     poles: tuple[tuple[complex, int], ...]
     max_xi_modulus: float
     radius: float
-    dominant_singularity: complex | None
+    dominant_singularity: complex
     band: tuple[complex, ...]
     classification: str
     r_at_one: Fraction
@@ -162,17 +160,13 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
     num, den = _rw_parts(w)
     zeros = tuple(poly_roots(PolyQ(num)))
     poles = tuple(poly_roots(PolyQ(den)))
+    # N = b D + a c x^m with a, c > 0 has degree >= m >= 1: roots is never empty
     roots = zeros + poles
-    if roots:
-        radius = min(abs(r) for r, _ in roots)
-        max_xi = 1.0 / radius
-        nearest = [r for r, _ in roots if abs(r) <= radius * (1 + 1e-9)]
-        dominant = min(nearest, key=lambda r: abs(r.imag))
-        dominant = complex(dominant.real, abs(dominant.imag))
-    else:
-        max_xi = 0.0
-        dominant = None
-        radius = math.inf
+    radius = min(abs(r) for r, _ in roots)
+    max_xi = 1.0 / radius
+    nearest = [r for r, _ in roots if abs(r) <= radius * (1 + 1e-9)]
+    dominant = min(nearest, key=lambda r: abs(r.imag))
+    dominant = complex(dominant.real, abs(dominant.imag))
     band = tuple(r for r, _ in roots if 1 - tol <= abs(r) <= 1 + tol)
     if max_xi > 1 + tol:
         verdict = "divergent"
@@ -250,8 +244,9 @@ def scan_convergent_words(p: int, max_len: int, tol: float = 1e-6) -> ScanReport
     partitioned into the three known families and an exceptional remainder.
     Boundary words stay flagged in their own list as well: they enter the
     partition as convergence candidates but are never silently promoted, and
-    need exact follow-up (the two known ones come from root pairs exactly on
-    the unit circle).
+    need exact follow-up.  The base-2 scan to length 12 flags four: 100,
+    10011110, 10011111110 and 100111111110; only the first two have exact
+    certificates in the tests.
     """
     words = enumerate_admissible(p, max_len - 1)
     profiles = tuple(classify_word(w, tol) for w in words)

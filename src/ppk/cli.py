@@ -117,17 +117,15 @@ def _check_cap(name: str, value: int, p: int, force: bool) -> None:
         )
 
 
-def _format_complex(z: complex | None) -> str:
-    if z is None:
-        return ""
+def _format_complex(z: complex) -> str:
     if abs(z.imag) < 1e-12:
         return repr(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-def _complex_json(z: complex | None) -> list[float] | None:
-    return None if z is None else [z.real, z.imag]
+def _complex_json(z: complex) -> list[float]:
+    return [z.real, z.imag]
 
 
 # -- output ----------------------------------------------------------------

@@ -198,8 +198,6 @@ class ColumnDensityEstimate:
 
 
 def _column_histogram(t: int, m_max: int) -> np.ndarray:
-    if t == 0:
-        return np.bincount(np.zeros(m_max, dtype=np.int64))
     s = _digit_sum_table(m_max + t, 2)
     nu = s[:m_max] + digit_sum(t, 2) - s[t : t + m_max]
     return np.bincount(nu)

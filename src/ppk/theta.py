@@ -10,19 +10,18 @@ satisfies T_a = a + 1 for 0 <= a < p and, for n >= 1 and 0 <= a < p,
 
     T_{p n + a} = (a + 1) T_n + (p - a - 1) x^{v_p(n) + 1} T_{n - 1},
 
-which is the recurrence everything here is built on.  ``tilde_theta``
+which is the recurrence everything here is built on.  ``tilde_table``
 re-indexes theta by digit sums, which turns the two-variable generating
 function into an explicit infinite product (``tilde_product_table``).
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Union
 
 from .ratcore import PolyQ
-from .words import Word, expand, padic_valuation
+from .words import Word, expand
 
 
 def _ext_pair(
@@ -97,43 +96,26 @@ def Tbar(p: int, v: Union[int, Word]) -> PolyQ:
     return PolyQ(Fraction(c, coeffs[0]) for c in coeffs)
 
 
-def psi(p: int, j: int, n: int) -> int:
-    """Shifted companion count used by the Carlitz-style recurrence system.
+def tilde_table(p: int, kmax: int, nmax: int) -> list[list[int]]:
+    """Digit-sum re-indexing of theta, rows k = 0..kmax by columns n = 0..nmax.
 
-    psi(p, j, n) counts entries t of row n with v_p(C(n, t)) = j - v_p(n+1);
-    it equals theta(p, j - v_p(n+1), n) when j >= v_p(n+1) and is 0
-    otherwise, with psi(p, j, -1) = 0 by convention.
-    """
-    if n < 0 or j < 0:
-        return 0
-    v = padic_valuation(n + 1, p)
-    if j < v:
-        return 0
-    return theta(p, j - v, n)
-
-
-@functools.cache
-def tilde_theta(p: int, k: int, n: int) -> int:
-    """Digit-sum re-indexing: theta with j = (k - s_p(n)) / (p - 1).
-
-    Nonzero only when k >= s_p(n) and p-1 divides k - s_p(n).  Computed by
-    its own recurrence so the defining transform can be tested against it:
+    Entry [k][n] is theta(p, j, n) with j = (k - s_p(n)) / (p - 1), and zero
+    unless k >= s_p(n) and p-1 divides k - s_p(n).  Built column by column
+    from column 0 = [1, 0, ...] by its own recurrence, so the defining
+    transform can be tested against it:
 
         tt(k, p n + a) = (a+1) tt(k-a, n) + (p-a-1) tt(k-p-a, n-1).
     """
-    if k < 0 or n < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    m, a = divmod(n, p)
-    return (a + 1) * tilde_theta(p, k - a, m) + (p - a - 1) * tilde_theta(p, k - p - a, m - 1)
-
-
-def tilde_table(p: int, kmax: int, nmax: int) -> list[list[int]]:
-    """Rows k = 0..kmax, columns n = 0..nmax of tilde_theta."""
-    return [[tilde_theta(p, k, n) for n in range(nmax + 1)] for k in range(kmax + 1)]
+    if kmax < 0 or nmax < 0:
+        raise ValueError("kmax and nmax must be >= 0")
+    zero = [0] * (kmax + 1)
+    cols = [[1] + zero[1:]]
+    for n in range(1, nmax + 1):
+        m, a = divmod(n, p)
+        lo = ([0] * a + cols[m])[: kmax + 1]
+        hi = ([0] * (p + a) + (cols[m - 1] if m else zero))[: kmax + 1]
+        cols.append([(a + 1) * x + (p - a - 1) * y for x, y in zip(lo, hi)])
+    return [list(row) for row in zip(*cols)]
 
 
 def tilde_product_table(p: int, x_order: int, z_order: int) -> list[list[int]]:
@@ -141,7 +123,7 @@ def tilde_product_table(p: int, x_order: int, z_order: int) -> list[list[int]]:
 
     Entry [k][n] is the coefficient of x^k z^n, truncated to k <= x_order and
     n <= z_order; only factors with p^i <= z_order can contribute.  This is
-    the closed product form of the tilde_theta table.
+    the closed product form of ``tilde_table``.
     """
     table = [[0] * (z_order + 1) for _ in range(x_order + 1)]
     table[0][0] = 1

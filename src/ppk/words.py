@@ -193,7 +193,7 @@ def enumerate_admissible(p: int, jmax: int) -> list[Word]:
     return out
 
 
-def counting_factor_counts(v: Word, max_len: int | None = None) -> dict[Word, int]:
+def counting_factor_counts(v: Word) -> dict[Word, int]:
     """All counting-word factors of v with their padded occurrence counts.
 
     A counting word has a nonzero leading digit, so no occurrence can reach
@@ -202,11 +202,10 @@ def counting_factor_counts(v: Word, max_len: int | None = None) -> dict[Word, in
     digits = v.digits
     counts: dict[Word, int] = {}
     n = len(digits)
-    limit = n if max_len is None else min(max_len, n)
     for start in range(n):
         if digits[start] == 0:
             continue
-        for length in range(1, min(limit, n - start) + 1):
+        for length in range(1, n - start + 1):
             sub = Word(v.p, digits[start : start + length])
             counts[sub] = counts.get(sub, 0) + 1
     return counts

@@ -543,8 +543,8 @@ class TestTelescope:
         assert admissible
         for dropped in admissible:
 
-            def miscounted(word, max_len=None):
-                counts = real(word, max_len)
+            def miscounted(word):
+                counts = real(word)
                 counts[dropped] -= 1
                 return counts
 

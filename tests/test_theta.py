@@ -2,6 +2,7 @@
 
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,10 @@ from ppk.ratcore import PolyQ
 from ppk.theta import (
     T_poly,
     Tbar,
-    psi,
     theta,
     theta0,
     tilde_product_table,
     tilde_table,
-    tilde_theta,
 )
 from ppk.words import Word, digit_sum, expand, padic_valuation
 
@@ -165,53 +164,50 @@ class TestNormalizedRows:
         assert Tbar(2, Word(2, ())) == PolyQ([1])
 
 
-class TestShiftedCounts:
-    def test_shift_against_theta(self):
-        rng = random.Random(34)
-        for _ in range(250):
-            p = rng.choice(PRIMES)
-            n = rng.randrange(0, 2000)
-            j = rng.randrange(0, 10)
-            v = padic_valuation(n + 1, p)
-            expected = theta(p, j - v, n) if j >= v else 0
-            assert psi(p, j, n) == expected
-
-    def test_conventions(self):
-        assert psi(2, 0, -1) == 0
-        assert psi(2, -1, 5) == 0
-
-    def test_total(self):
-        for p in PRIMES:
-            for n in range(200):
-                assert sum(psi(p, j, n) for j in range(40)) == n + 1
-
-
 class TestTildeTables:
     @pytest.mark.parametrize("p", PRIMES)
     def test_frozen_reference_cells(self, p):
         cells = TILDE_CELLS[p]
+        table = tilde_table(p, TILDE_KMAX[p], 17)
         for k in range(TILDE_KMAX[p] + 1):
             for n in range(18):
-                assert tilde_theta(p, k, n) == cells.get((k, n), 0), (p, k, n)
+                assert table[k][n] == cells.get((k, n), 0), (p, k, n)
 
     def test_reindexing_transform(self):
         # tilde(k, n) = theta(j, n) exactly when k = s_p(n) + (p-1) j
         for p in PRIMES:
-            for n in range(180):
-                s = digit_sum(n, p)
-                deg = T_poly(p, n).degree
+            spans = [(digit_sum(n, p), T_poly(p, n).degree) for n in range(180)]
+            table = tilde_table(p, max(s + (p - 1) * d + p - 1 for s, d in spans), 179)
+            for n, (s, deg) in enumerate(spans):
                 for j in range(deg + 1):
-                    assert tilde_theta(p, s + (p - 1) * j, n) == theta(p, j, n)
+                    assert table[s + (p - 1) * j][n] == theta(p, j, n)
                 for k in range(s + (p - 1) * deg + p):
                     if k < s or (k - s) % (p - 1):
-                        assert tilde_theta(p, k, n) == 0
+                        assert table[k][n] == 0
 
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_product_form(self, p):
-        assert tilde_product_table(p, 10, 17) == tilde_table(p, 10, 17)
+    @pytest.mark.parametrize(
+        "p,kmax,nmax",
+        [pytest.param(p, 10, 17, id=str(p)) for p in PRIMES]
+        + [(2, 40, 1023), (3, 30, 728), (5, 20, 624), (7, 16, 342)],
+    )
+    def test_product_form(self, p, kmax, nmax):
+        assert tilde_product_table(p, kmax, nmax) == tilde_table(p, kmax, nmax)
 
     def test_table_layout(self):
         table = tilde_table(2, 4, 9)
         assert len(table) == 5
         assert all(len(row) == 10 for row in table)
         assert table[0][0] == 1
+        assert tilde_table(3, 0, 0) == [[1]]
+        with pytest.raises(ValueError):
+            tilde_table(2, 4, -1)
+        with pytest.raises(ValueError):
+            tilde_table(2, -1, 4)
+
+
+def test_submodule_not_shadowed():
+    # the package binds no function over its ppk.theta submodule
+    import ppk.theta as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.theta(2, 3, 8) == 4

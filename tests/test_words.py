@@ -158,14 +158,6 @@ class TestFactorCounting:
                     if sub.in_counting_set:
                         assert sub in counts
 
-    def test_max_len_cap(self):
-        v = expand(0b101101, 2)
-        capped = counting_factor_counts(v, max_len=2)
-        assert all(len(w.digits) <= 2 for w in capped)
-        full = counting_factor_counts(v)
-        for w, c in capped.items():
-            assert full[w] == c
-
 
 class TestTruncations:
     def test_examples(self):
