@@ -245,7 +245,7 @@ def scan_convergent_words(p: int, max_len: int, tol: float = 1e-6) -> ScanReport
     Boundary words stay flagged in their own list as well: they enter the
     partition as convergence candidates but are never silently promoted, and
     need exact follow-up.  The base-2 scan to length 12 flags four: 100,
-    10011110, 10011111110 and 100111111110; only the first two have exact
+    10011110, 10011111110 and 100111111110; all four have exact
     certificates in the tests.
     """
     words = enumerate_admissible(p, max_len - 1)

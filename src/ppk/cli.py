@@ -243,8 +243,6 @@ def cmd_rw(args: argparse.Namespace) -> Output:
 
 def cmd_coeffs(args: argparse.Namespace) -> Output:
     mono = _parse_monomial(args.monomial, args.p)
-    if mono.is_constant:
-        raise UsageError("the constant monomial has no coefficient series")
     tol = _tol(args)
     order = args.order if args.order is not None else max(args.j, mono.weight)
     if order < mono.weight:

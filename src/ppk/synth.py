@@ -30,7 +30,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
 from .theta import _ext_pair, _row_coeffs
@@ -179,9 +179,6 @@ def _log_rw(w: Word, order: int) -> _Offset:
     n = order - m
     if n < 0:
         return m, 1, []
-    if n == 0:  # only the leading term alpha_w x^m
-        a, b = _alpha(w.p, w.digits)
-        return m, b, [a]
     num, bd = _rw_parts(w)
     ac = sum(num) - sum(bd)  # N(1) - b D(1)
     content = math.gcd(*bd)
@@ -268,38 +265,44 @@ def _monomial_tree(
     jmax: int,
     root: object = None,
     extend: Callable[[object, int, int], object] = lambda value, i, k: value,
-) -> Iterator[tuple[Monomial, object]]:
-    """Depth-first walk over the monomials of total weight <= jmax in words
-    (sorted by length), yielding (monomial, value).
+) -> list[tuple[Monomial, object]]:
+    """The monomials of total weight <= jmax in words (given in Word order)
+    with their values, in canonical ``Monomial.sort_key`` order.
 
     The constant monomial carries ``root``; appending X_{words[i]}^k to a
     node carries ``extend(v, i, k)``, with v the value for exponent k - 1.
+    The walk goes depth first, word ids rising and exponents falling: that
+    is canonical order among the monomials of one weight and shape (factor
+    weights, largest first), so the nodes are grouped by that key and the
+    groups joined in key order.
     """
     wts = [len(w.digits) - 1 for w in words]
     factors: list[tuple[Word, int]] = []
+    groups: dict[tuple[int, tuple[int, ...]], list[tuple[Monomial, object]]] = {}
 
-    def rec(idx: int, budget: int, value: object):
-        yield Monomial(tuple(factors)), value
+    def rec(idx: int, budget: int, shape: tuple[int, ...], value: object) -> None:
+        key = (jmax - budget, shape)
+        groups.setdefault(key, []).append((Monomial(tuple(factors)), value))
         for i in range(idx, len(words)):
             wt = wts[i]
             if wt > budget:
                 break
-            v = value
+            chain = [value]
             for k in range(1, budget // wt + 1):
-                v = extend(v, i, k)
+                chain.append(extend(chain[-1], i, k))
+            for k in range(len(chain) - 1, 0, -1):
                 factors.append((words[i], k))
-                yield from rec(i + 1, budget - k * wt, v)
+                rec(i + 1, budget - k * wt, (wt,) * k + shape, chain[k])
                 factors.pop()
 
-    return rec(0, jmax, root)
+    rec(0, jmax, (), root)
+    return [node for key in sorted(groups) for node in groups[key]]
 
 
 def monomials_up_to_weight(p: int, jmax: int) -> list[Monomial]:
     """All monomials of total weight <= jmax (constant included), in canonical
     order."""
-    out = [mono for mono, _ in _monomial_tree(enumerate_admissible(p, jmax), jmax)]
-    out.sort(key=Monomial.sort_key)
-    return out
+    return [mono for mono, _ in _monomial_tree(enumerate_admissible(p, jmax), jmax)]
 
 
 def monomial_series(mono: Monomial, order: int) -> SeriesQ:
@@ -322,16 +325,15 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
 
 @dataclass
 class BlockPolynomial:
-    """Polynomial for one level j: maps factor counts to theta(j)/theta(0)."""
+    """Polynomial for one level j: maps factor counts to theta(j)/theta(0).
+
+    The terms are kept in the order given; the build and
+    ``cumulative_polynomial`` give them in canonical order.
+    """
 
     p: int
     j: int
     terms: dict[Monomial, Fraction]
-
-    def __post_init__(self) -> None:
-        # the one place the canonical term order is applied
-        order = sorted(self.terms, key=Monomial.sort_key)
-        self.terms = {mono: self.terms[mono] for mono in order}
 
     @property
     def term_count(self) -> int:
@@ -402,7 +404,8 @@ def block_polynomials_up_to(
     The only cache of built polynomials.  The tree walk reuses the partial
     coefficient-series product of each monomial prefix, so every monomial
     costs one truncated product of integer offset series, from its weight
-    up to x^jmax.
+    up to x^jmax.  The walk gives the monomials in canonical order, so every
+    level's terms are filled in that order.
     """
     words = enumerate_admissible(p, jmax)
     logs = [_log_rw(w, jmax) for w in words]
@@ -523,15 +526,13 @@ def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
     """P'_j = P_0 + ... + P_{j-1}: the share of entries with valuation < j."""
     if j < 1:
         raise ValueError("cumulative level must be >= 1")
+    # a monomial first occurs at the level of its weight (the coefficient
+    # there is a product of alpha_w > 0), so first appearance is canonical
     merged: dict[Monomial, Fraction] = {}
     for poly in block_polynomials_up_to(p, j - 1):
         for mono, c in poly.terms.items():
-            acc = merged.get(mono, Fraction(0)) + c
-            if acc:
-                merged[mono] = acc
-            else:
-                merged.pop(mono, None)
-    return BlockPolynomial(p, j, merged)
+            merged[mono] = merged.get(mono, 0) + c
+    return BlockPolynomial(p, j, {mono: c for mono, c in merged.items() if c})
 
 
 def telescope_identity_holds(v: Word, order: int) -> bool:

@@ -187,23 +187,30 @@ class TestClassification:
         assert b * b - 4 * a * c < 0
         assert c / a == 1
 
-    def test_boundary_word_10011110_certified(self):
-        w = W("10011110")
+    @pytest.mark.parametrize(
+        "text, margin",
+        [("10011110", 1.04), ("10011111110", 1.002), ("100111111110", 1.004)],
+        ids=["10011110", "10011111110", "100111111110"],
+    )
+    def test_boundary_word_1001k0_certified(self, text, margin):
+        # w = 1001^k 0, so w_R = 1001^k and w_L = 1^k 0; the margin sits
+        # just below the measured smallest numerator root modulus
+        w = W(text)
         pr = classify_word(w)
         assert pr.classification == "boundary"
         assert abs(pr.max_xi_modulus - 1.0) < 1e-9
         wl, wr, _ = truncations(w)
-        assert str(wl) == "11110" and str(wr) == "1001111"
+        assert str(wl) == text[3:] and str(wr) == text[:-1]
         # the right truncation carries the exact unit-circle pair
         assert Tbar(2, wr) == PolyQ([1, Fraction(1, 2), 1])
         # the left truncation is the geometric factor with all roots at 2
         one_minus_half = PolyQ([1, Fraction(-1, 2)])
         assert Tbar(2, wl) * one_minus_half == PolyQ(
-            [1, 0, 0, 0, 0, Fraction(-1, 32)]
+            [1] + [0] * (len(wl) - 1) + [Fraction(-1, 2 ** len(wl))]
         )
         # numerator roots stay strictly outside the unit circle
         num_mods = [abs(r) for r, _ in poly_roots(r_w_quotient(w).num)]
-        assert min(num_mods) > 1.04
+        assert min(num_mods) > margin
 
     def test_exact_coefficient_formula(self):
         # [x^n] log r_w recovered from the root data, against the series

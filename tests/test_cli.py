@@ -320,6 +320,9 @@ class TestExitCodes:
             ("coeffs", "--monomial", "0"),
             ("coeffs", "--monomial", "01"),
             ("coeffs", "--monomial", "10*11"),
+            ("coeffs", "--monomial", ""),
+            ("coeffs", "--monomial", "*"),
+            ("coeffs", "--monomial", "eps"),
             ("classify",),  # needs exactly one selector
             ("classify", "--word", "10", "--maxlen", "4"),
             ("classify", "--maxlen", "1"),
@@ -462,6 +465,38 @@ class TestPinnedOutputs:
         )
         assert run.returncode == pin["exit"]
         assert hashlib.sha256(run.stdout).hexdigest() == pin["sha256"]
+
+
+class TestOrderedOutputs:
+    # poly, plain and cumulative, at every prime: one digest over the text,
+    # json and csv output of each (p, j) in turn; taken while the
+    # BlockPolynomial constructor still sorted every level's terms
+    @pytest.mark.parametrize(
+        "extra, pairs, digest",
+        [
+            (
+                ["--cumulative"],
+                [(2, 8), (3, 5), (5, 4), (7, 3)],
+                "fa05c6a54869ebddb9123d9db0585ad87a137201f8b0a37bdfb48c63a863ca2f",
+            ),
+            (
+                [],
+                [(3, 6), (5, 4), (7, 3)],
+                "852034b38f8a9bc95c2e5d6f1f6ee2583fb1c3af48045c8b20d1cc3b896892d0",
+            ),
+        ],
+        ids=["cumulative", "levels"],
+    )
+    def test_digest(self, cli, extra, pairs, digest):
+        h = hashlib.sha256()
+        for p, j in pairs:
+            for fmt in ("text", "json", "csv"):
+                code, out, _ = cli(
+                    "poly", "--p", str(p), "--j", str(j), *extra, "--format", fmt
+                )
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest() == digest
 
 
 class TestHighOrderGoldens:

@@ -350,10 +350,25 @@ class TestBlockPolynomials:
         assert block_polynomial(2, 3).text() == P3_TEXT
         assert block_polynomial(2, 4).text() == P4_TEXT
 
-    def test_terms_put_in_canonical_order(self):
-        terms = block_polynomial(2, 2).terms
-        poly = BlockPolynomial(2, 2, dict(reversed(terms.items())))
-        assert list(poly.terms) == sorted(terms, key=Monomial.sort_key)
+    @pytest.mark.parametrize("p, jmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_walk_gives_canonical_order(self, p, jmax):
+        monos = monomials_up_to_weight(p, jmax)
+        assert monos == sorted(monos, key=Monomial.sort_key)
+        # cumulative_polynomial(p, jmax + 1) sums this same build
+        levels = block_polynomials_up_to(p, jmax)
+        for poly in (*levels, cumulative_polynomial(p, jmax + 1)):
+            terms = list(poly.terms)
+            assert terms == sorted(terms, key=Monomial.sort_key), poly.j
+
+    def test_no_sort_by_monomial_key(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sorted by Monomial.sort_key")
+
+        block_polynomials_up_to.cache_clear()
+        monkeypatch.setattr(Monomial, "sort_key", refuse)
+        block_polynomials_up_to(3, 5)
+        monomials_up_to_weight(5, 3)
+        cumulative_polynomial(2, 8)
 
     def test_build_is_one_cached_tuple(self):
         polys = block_polynomials_up_to(2, 3)
