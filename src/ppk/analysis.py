@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, squarefree_decomposition
+from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, _int_row, _squarefree_rows
 from .synth import Monomial, _rw_parts, r_w_quotient
 from .theta import Tbar
 from .words import Word, enumerate_admissible
@@ -112,11 +112,22 @@ def poly_roots(poly: PolyQ) -> list[tuple[complex, int]]:
     eigenvalues of its companion matrix (``numpy.roots``); their last digits
     come from numpy's LAPACK build.  Sorted by (modulus, phase).
     """
+    return _row_roots(_int_row(poly))
+
+
+def _row_roots(row: list[int]) -> list[tuple[complex, int]]:
+    """``poly_roots`` of an integer coefficient row.
+
+    Each squarefree factor is made monic as c / lead on its integer row:
+    int true division rounds correctly, so these are the floats of the
+    factor's exact monic coefficients.
+    """
     import numpy  # here, so that importing ppk never loads numpy
 
     out: list[tuple[complex, int]] = []
-    for factor, mult in squarefree_decomposition(poly):
-        lead_first = [float(c) for c in reversed(factor.coeffs)]
+    for factor, mult in _squarefree_rows(row):
+        lead = factor[-1]
+        lead_first = [c / lead for c in reversed(factor)]
         out.extend((complex(r), mult) for r in numpy.roots(lead_first))
     out.sort(key=lambda rm: (abs(rm[0]), cmath.phase(rm[0]), rm[1]))
     return out
@@ -149,17 +160,20 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
     """Convergence verdict for the coefficient series of X_w.
 
     divergent when max |xi| > 1 + tol, convergent when < 1 - tol, boundary in
-    between; the band lists roots within tol of the unit circle.  Convergent
-    words get coefficient_sum = log r_w(1) attached (valid up to the radius,
-    and at 1 by continuity).
+    between; the band lists roots within tol of the unit circle.  tol must
+    lie in (0, 1), since at tol >= 1 no word could be convergent.
+    Convergent words get coefficient_sum = log r_w(1) attached (valid up to
+    the radius, and at 1 by continuity).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
+    if tol >= 1:
+        raise ValueError("tol must be below 1, or no word can classify convergent")
     if not w.is_admissible:
         raise ValueError(f"classification needs an admissible word: {w}")
     num, den = _rw_parts(w)
-    zeros = tuple(poly_roots(PolyQ(num)))
-    poles = tuple(poly_roots(PolyQ(den)))
+    zeros = tuple(_row_roots(num))
+    poles = tuple(_row_roots(den))
     # N = b D + a c x^m with a, c > 0 has degree >= m >= 1: roots is never empty
     roots = zeros + poles
     radius = min(abs(r) for r, _ in roots)

@@ -107,6 +107,14 @@ def _tol(args: argparse.Namespace) -> float:
     return args.tol
 
 
+def _unit_tol(args: argparse.Namespace) -> float:
+    """The unit-circle band of ``coeffs`` and ``classify``."""
+    tol = _tol(args)
+    if tol >= 1:
+        raise UsageError("tol must be below 1, or no word can classify convergent")
+    return tol
+
+
 def _check_cap(name: str, value: int, p: int, force: bool) -> None:
     bounds = term_bound_series(p, DESK_SCALE_JMAX)
     cap = max(j for j, b in enumerate(bounds) if b <= SYNTH_TERM_CAP)
@@ -243,7 +251,7 @@ def cmd_rw(args: argparse.Namespace) -> Output:
 
 def cmd_coeffs(args: argparse.Namespace) -> Output:
     mono = _parse_monomial(args.monomial, args.p)
-    tol = _tol(args)
+    tol = _unit_tol(args)
     order = args.order if args.order is not None else max(args.j, mono.weight)
     if order < mono.weight:
         raise UsageError(
@@ -407,7 +415,7 @@ def _listing(label: str, words) -> str:
 def cmd_classify(args: argparse.Namespace) -> Output:
     if (args.word is None) == (args.maxlen is None):
         raise UsageError("pass exactly one of --word and --maxlen")
-    tol = _tol(args)
+    tol = _unit_tol(args)
     if args.word is not None:
         w = _parse_admissible(args.word, args.p)
         profile = classify_word(w, tol=tol)

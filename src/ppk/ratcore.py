@@ -11,6 +11,11 @@ Coefficients are `fractions.Fraction` throughout (re-exported as
 ``Rational``); every operation is exact and every object immutable.  Series
 refuse mixed-order arithmetic so a silent truncation bug becomes a loud
 error.
+
+``poly_gcd`` and ``squarefree_decomposition`` take and return ``PolyQ``, but
+inside they clear denominators and run on primitive integer rows: gcds by
+primitive remainder sequences, and Yun's algorithm over Z behind a
+squarefree certificate modulo one prime.  No gcd divides ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -199,39 +204,170 @@ class PolyQ:
         return " ".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# Integer rows.
+#
+# gcds and squarefree parts are computed on primitive integer coefficient
+# lists (index i multiplies x^i, no trailing zeros, content 1, positive lead).
+# By Gauss's lemma a primitive factor over Q divides an integer row over Z,
+# so every division below is exact in integers and no Fraction is built.
+# ---------------------------------------------------------------------------
+
+# the largest prime below 2^15: a product of two residues fits one 30-bit
+# CPython int digit
+_CERT_PRIME = 32749
+
+
+def _primitive(row: Sequence[int]) -> list[int]:
+    """``row`` over its content, trailing zeros dropped, lead positive."""
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    if not row:
+        return row
+    g = _igcd(*row)
+    if row[-1] < 0:
+        g = -g
+    return [c // g for c in row]
+
+
+def _int_row(f: PolyQ) -> list[int]:
+    """f times the lcm of its denominators, as an integer row."""
+    scale = _ilcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in f.coeffs]
+
+
+def _derivative(row: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(row)][1:]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, for a nonzero row b."""
+    rem = list(a)
+    lead, d = b[-1], len(b) - 1
+    while len(rem) > d:
+        c = rem.pop()
+        if not c:
+            continue
+        g = _igcd(c, lead)
+        s, t = lead // g, c // g
+        k = len(rem) - d
+        if s != 1:
+            rem = [s * x for x in rem]
+        for i in range(d):
+            rem[k + i] -= t * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _gcd_rows(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two integer rows by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer rows when b divides a in Z[x]; b is nonzero."""
+    rem = list(a)
+    lead, d = b[-1], len(b) - 1
+    q = [0] * max(len(rem) - d, 0)
+    for k in reversed(range(len(q))):
+        c, r = divmod(rem[k + d], lead)
+        if r:
+            raise ArithmeticError("integer polynomial division is not exact")
+        q[k] = c
+        if c:
+            for i in range(d):
+                rem[k + i] -= c * b[i]
+    if any(rem[:d]):
+        raise ArithmeticError("integer polynomial division is not exact")
+    return q
+
+
+def _squarefree_mod(f: list[int]) -> bool:
+    """True certifies that the integer row f (degree >= 1) is squarefree over Q.
+
+    Let q be the fixed prime.  If q does not divide the lead and
+    gcd(f mod q, f' mod q) = 1, f is squarefree: a square factor g^2 of f
+    over Z would reduce to a square factor of the same degree mod q.  False
+    decides nothing.
+    """
+    q = _CERT_PRIME
+    if not f[-1] % q:
+        return False
+    a = [c % q for c in f]
+    b = [c % q for c in _derivative(f)]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        rem, d = a, len(b) - 1
+        inv = pow(b[-1], -1, q)
+        while len(rem) > d:
+            c = rem.pop() * inv % q
+            if c:
+                k = len(rem) - d
+                for i in range(d):
+                    rem[k + i] = (rem[k + i] - c * b[i]) % q
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    return len(a) == 1
+
+
+def _squarefree_rows(f: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z: ``[(g_i, i)]`` with f = c * prod g_i^i.
+
+    The g_i are primitive integer rows of degree >= 1, squarefree and
+    pairwise coprime.  A row certified squarefree mod a prime is returned
+    whole; otherwise Yun runs on primitive remainder sequences.
+    """
+    f = _primitive(f)
+    if len(f) <= 1:
+        return []
+    if _squarefree_mod(f):
+        return [(f, 1)]
+    fp = _derivative(f)
+    g = _gcd_rows(f, fp)
+    b = _exact_quotient(f, g)
+    d = _sub(_exact_quotient(fp, g), _derivative(b))
+    out: list[tuple[list[int], int]] = []
+    i = 1
+    while len(b) > 1:
+        a_i = _gcd_rows(b, d)
+        if len(a_i) > 1:
+            out.append((a_i, i))
+        b = _exact_quotient(b, a_i)
+        d = _sub(_exact_quotient(d, a_i), _derivative(b))
+        i += 1
+    return out
+
+
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd over Q, computed on the primitive integer rows of a and b."""
+    return PolyQ(_gcd_rows(_int_row(a), _int_row(b))).monic()
 
 
 def squarefree_decomposition(f: PolyQ) -> list[tuple[PolyQ, int]]:
     """Yun's algorithm: return ``[(g_i, i)]`` with f = lc * prod g_i^i.
 
-    Each ``g_i`` is squarefree and pairwise coprime with the others, so the
-    multiplicity structure of f's roots is recovered exactly.
+    Each ``g_i`` is monic, squarefree and pairwise coprime with the others,
+    so the multiplicity structure of f's roots is recovered exactly.
     """
-    if f.degree <= 0:
-        return []
-    fp = f.derivative()
-    g = poly_gcd(f, fp)
-    if g.degree == 0:
-        return [(f.monic(), 1)]
-    b = f // g
-    d = (fp // g) - b.derivative()
-    out: list[tuple[PolyQ, int]] = []
-    i = 1
-    while b.degree > 0:
-        a_i = poly_gcd(b, d)
-        if a_i.degree > 0:
-            out.append((a_i, i))
-        b = b // a_i
-        d = (d // a_i) - b.derivative()
-        i += 1
-    return out
+    return [(PolyQ(g).monic(), i) for g, i in _squarefree_rows(_int_row(f))]
 
 
 class SeriesQ:

@@ -169,6 +169,14 @@ class TestClassification:
         # with a huge tolerance even |xi| = 1/2 lands in the boundary band
         assert classify_word(W("10"), tol=0.6).classification == "boundary"
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5])
+    def test_tolerance_of_one_or_more_rejected(self, tol):
+        # the convergent band max |xi| < 1 - tol is empty for tol >= 1
+        with pytest.raises(ValueError, match="below 1"):
+            classify_word(W("10"), tol=tol)
+        with pytest.raises(ValueError, match="below 1"):
+            scan_convergent_words(2, 3, tol=tol)
+
     def test_nan_tolerance_rejected(self):
         # NaN fails every band comparison, which once made 1010 "convergent"
         with pytest.raises(ValueError, match="positive and finite"):

@@ -350,6 +350,29 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: tol must be positive and finite\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--word", "10", "--tol", "1.5"),
+            ("classify", "--word", "10", "--tol", "1"),
+            ("classify", "--maxlen", "3", "--tol", "2"),
+            ("coeffs", "--monomial", "10", "--j", "3", "--tol", "1"),
+            ("coeffs", "--monomial", "10", "--sum", "--tol", "1.5"),
+        ],
+    )
+    def test_unit_circle_tol_below_one(self, cli, argv):
+        # at tol >= 1 no word could be convergent, so the band is refused
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be below 1, or no word can classify convergent\n"
+
+    def test_columns_tol_is_a_deviation_bound(self, cli):
+        code, out, _ = cli(
+            "columns", "--tmax", "1", "--jmax", "1", "--mmax", "8", "--tol", "1.5"
+        )
+        assert code == 0
+        assert out.endswith("ok (worst deviation 0.000e+00)\n")
+
     def test_internal_errors_propagate(self, monkeypatch):
         # a library ValueError is a fault, not rejected input: no exit 2
         def broken(p, j):

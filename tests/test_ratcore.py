@@ -1,19 +1,26 @@
 """Exact arithmetic layer: polynomials, truncated series, rational functions."""
 
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
+from ppk.analysis import _half_substitute, classify_word, poly_roots, q_polynomial
 from ppk.ratcore import (
+    _CERT_PRIME,
     PolyQ,
     RationalFunctionQ,
     SeriesQ,
+    _int_row,
+    _squarefree_mod,
     poly_gcd,
     rational_from_str,
     rational_to_str,
     squarefree_decomposition,
 )
+from ppk.synth import _rw_parts
+from ppk.words import enumerate_admissible
 
 
 def rand_poly(rng, degree, scale=9):
@@ -130,6 +137,144 @@ class TestGcdAndSquarefree:
             assert sorted(i for _, i in parts) == sorted(set(mults))
             for g, _ in parts:
                 assert poly_gcd(g, g.derivative()).degree == 0
+
+
+def reference_gcd(a, b):
+    """Monic gcd over Q by Euclid on Fraction coefficients."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def reference_squarefree(f):
+    """Yun's algorithm by Fraction Euclid, the reference for the integer core."""
+    if f.degree <= 0:
+        return []
+    fp = f.derivative()
+    g = reference_gcd(f, fp)
+    if g.degree == 0:
+        return [(f.monic(), 1)]
+    b = f // g
+    d = (fp // g) - b.derivative()
+    out = []
+    i = 1
+    while b.degree > 0:
+        a_i = reference_gcd(b, d)
+        if a_i.degree > 0:
+            out.append((a_i, i))
+        b = b // a_i
+        d = (d // a_i) - b.derivative()
+        i += 1
+    return out
+
+
+def reference_roots(f):
+    """poly_roots on the reference factors, floats taken from Fractions."""
+    import numpy
+
+    out = []
+    for factor, mult in reference_squarefree(f):
+        lead_first = [float(c) for c in reversed(factor.coeffs)]
+        out.extend((complex(r), mult) for r in numpy.roots(lead_first))
+    out.sort(key=lambda rm: (abs(rm[0]), cmath.phase(rm[0]), rm[1]))
+    return out
+
+
+def power(f, k):
+    out = PolyQ([1])
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+class TestIntegerCore:
+    @pytest.mark.parametrize("p, max_len", [(2, 10), (3, 6), (5, 4)])
+    def test_rw_rows_match_reference(self, p, max_len):
+        uncertified = 0
+        for w in enumerate_admissible(p, max_len - 1):
+            profile = classify_word(w)
+            for row, roots in zip(_rw_parts(w), (profile.zeros, profile.poles)):
+                f = PolyQ(row)
+                assert squarefree_decomposition(f) == reference_squarefree(f), w
+                want = reference_roots(f)
+                assert list(roots) == want, w
+                assert poly_roots(f) == want, w
+                uncertified += f.degree > 0 and not _squarefree_mod(_int_row(f))
+        # the rows that miss the certificate run Yun over Z
+        assert uncertified > 0
+
+    def test_lead_divisible_by_prime_falls_back(self):
+        q = _CERT_PRIME
+        f = PolyQ([1, 0, q])
+        assert not _squarefree_mod(_int_row(f))
+        assert squarefree_decomposition(f) == [(f.monic(), 1)]
+        g = PolyQ([1, q])
+        assert not _squarefree_mod(_int_row(g * g))
+        assert squarefree_decomposition(g * g) == [(g.monic(), 2)]
+        # (qx + 1)^2 (x + 2) is x + 2 mod q, squarefree there but not over Q
+        h = g * g * PolyQ([2, 1])
+        assert not _squarefree_mod(_int_row(h))
+        assert squarefree_decomposition(h) == [(PolyQ([2, 1]), 1), (g.monic(), 2)]
+
+    def test_squarefree_over_q_but_not_mod_q(self):
+        f = PolyQ([-_CERT_PRIME, 0, 1])  # x^2 - q = x^2 mod q
+        assert not _squarefree_mod(_int_row(f))
+        assert squarefree_decomposition(f) == [(f, 1)]
+        assert [m for _, m in poly_roots(f)] == [1, 1]
+
+    def test_certificate_accepts_squarefree_rows(self):
+        assert _squarefree_mod([2, 1, 2])
+        assert not _squarefree_mod([1, 2, 1])
+
+    def test_repeated_linear_and_complex_factors(self):
+        lin, pair, mixed = PolyQ([-1, 1]), PolyQ([1, 0, 1]), PolyQ([2, 1, 2])
+        f = power(lin, 2) * power(pair, 3) * PolyQ([2, 1]) * power(mixed, 2) * 3
+        want = [
+            (PolyQ([2, 1]), 1),
+            ((lin * mixed).monic(), 2),
+            (pair, 3),
+        ]
+        assert squarefree_decomposition(f) == want
+        assert reference_squarefree(f) == want
+        assert poly_roots(f) == reference_roots(f)
+        assert sorted(m for _, m in poly_roots(f)) == [1, 2, 2, 2, 3, 3]
+
+    def test_rational_coefficients(self):
+        # closed_form_family's half-substituted pole polynomials q_s(x/2)
+        half = PolyQ([1, Fraction(-1, 2)])
+        for s in range(1, 10):
+            f = _half_substitute(q_polynomial(s))
+            for g in (f, f * power(half, 2), power(f, 2) * half):
+                assert squarefree_decomposition(g) == reference_squarefree(g)
+                assert poly_roots(g) == reference_roots(g)
+
+    def test_random_products_match_reference(self):
+        rng = random.Random(10)
+        for _ in range(40):
+            f = PolyQ([Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 4)):
+                g = rand_poly(rng, rng.randint(1, 3))
+                f = f * power(g, rng.randint(1, 3))
+            assert squarefree_decomposition(f) == reference_squarefree(f)
+
+    def test_zero_and_constant(self):
+        for f in (PolyQ(), PolyQ([Fraction(5, 3)]), PolyQ([-1])):
+            assert squarefree_decomposition(f) == []
+            assert poly_roots(f) == []
+        assert poly_gcd(PolyQ([Fraction(2, 3)]), PolyQ([0, 1])) == PolyQ([1])
+        assert poly_gcd(PolyQ(), PolyQ([Fraction(-2, 3)])) == PolyQ([1])
+
+    def test_gcd_of_rational_inputs_is_monic(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            f = rand_poly(rng, rng.randint(1, 3))
+            g = rand_poly(rng, rng.randint(0, 3))
+            h = rand_poly(rng, rng.randint(0, 3))
+            a, b = f * g, f * h * Fraction(-7, 3)
+            d = poly_gcd(a, b)
+            assert d == reference_gcd(a, b)
+            if not d.is_zero:
+                assert d.coeffs[-1] == 1
 
 
 class TestSeriesQ:
