@@ -242,7 +242,7 @@ def cmd_rw(args: argparse.Namespace) -> Output:
             ["numerator", rf.num.text()],
             ["denominator", rf.den.text()],
         ],
-        text=lambda: [f"({rf.num.text()}) / ({rf.den.text()})"],
+        text=lambda: [str(rf)],
     )
 
 

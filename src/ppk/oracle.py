@@ -163,6 +163,21 @@ def _triple_chunk(p: int, n_lo: int, n_hi: int) -> tuple[int, int] | None:
     return None
 
 
+def _spread(fn, jobs: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, on up to ``jobs`` forked workers.
+
+    No more workers than calls start, because the pool starts all of them
+    at once; at one worker or fewer nothing is forked.  Workers inherit what
+    the parent built before the call.
+    """
+    calls = list(zip(*iterables))
+    jobs = min(jobs, len(calls))
+    if jobs <= 1:
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*calls)))
+
+
 def triple_agreement_scan(
     p: int, n_max: int, jobs: int = 1
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -170,17 +185,10 @@ def triple_agreement_scan(
 
     Returns (True, None) on agreement, else (False, first bad (n, t)).
     """
-    # no more workers than rows: the pool starts all of them at once
-    jobs = min(jobs, n_max)
-    if jobs <= 1:
-        bad = _triple_chunk(p, 0, n_max)
-        return bad is None, bad
+    # at least one chunk, so that n_max = 0 scans the empty range
+    jobs = max(1, min(jobs, n_max))
     bounds = [(n_max * i) // jobs for i in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(
-            pool.map(_triple_chunk, [p] * jobs, bounds[:-1], bounds[1:])
-        )
-    for bad in results:
+    for bad in _spread(_triple_chunk, jobs, repeat(p), bounds[:-1], bounds[1:]):
         if bad is not None:
             return False, bad
     return True, None
@@ -258,20 +266,13 @@ def column_scan(
 ) -> tuple[ColumnCheckReport, ...]:
     """column_check for every t <= t_max."""
     ts = range(t_max + 1)
-    # one digit-sum table for the widest column, sliced by every t
+    # one digit-sum table for the widest column, sliced by every t, and
+    # P_0..P_jmax with their index, built here for forked workers to inherit
     _digit_sum_table(m_max + t_max, 2)
-    # no more workers than columns: the pool starts all of them at once
-    jobs = min(jobs, len(ts))
-    if jobs <= 1:
-        return tuple(column_check(t, j_max, m_max, tol) for t in ts)
-    # build P_0..P_jmax and their index in the parent; forked workers
-    # inherit them with the digit-sum table
     evaluate_levels(2, j_max, {})
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        checks = pool.map(
-            column_check, ts, repeat(j_max), repeat(m_max), repeat(tol)
-        )
-        return tuple(checks)
+    return tuple(
+        _spread(column_check, jobs, ts, repeat(j_max), repeat(m_max), repeat(tol))
+    )
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,15 @@ Coefficients are `fractions.Fraction` throughout (re-exported as
 refuse mixed-order arithmetic so a silent truncation bug becomes a loud
 error.
 
-``poly_gcd`` and ``squarefree_decomposition`` take and return ``PolyQ``, but
-inside they clear denominators and run on primitive integer rows: gcds by
-primitive remainder sequences, and Yun's algorithm over Z behind a
-squarefree certificate modulo one prime.  No gcd divides ``Fraction``s.
+``poly_gcd``, ``squarefree_decomposition`` and the canonical form of
+``RationalFunctionQ`` take and return ``PolyQ``, but inside they clear
+denominators and run on primitive integer rows: gcds by primitive remainder
+sequences, exact integer quotients, and Yun's algorithm over Z behind a
+squarefree certificate modulo one prime.  No gcd, division or canonical form
+runs on ``Fraction``s.
+
+``signed_sum`` is the one text join of signed terms, shared by
+``PolyQ.text`` and ``synth.BlockPolynomial.text``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "RationalFunctionQ",
     "poly_gcd",
     "squarefree_decomposition",
+    "signed_sum",
     "rational_from_str",
     "rational_to_str",
 ]
@@ -52,6 +58,19 @@ def rational_to_str(q: Coefficient) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def signed_sum(terms: Iterable[tuple[Coefficient, str]]) -> str:
+    """Join ``(coefficient, body)`` terms as ``a + b - c``, each sign taken
+    from its coefficient and each body already written without one; "0" when
+    there are no terms."""
+    parts: list[str] = []
+    for c, body in terms:
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 class PolyQ:
@@ -180,9 +199,7 @@ class PolyQ:
 
     def text(self, var: str = "x") -> str:
         """Human form, e.g. ``2 + x + 2x^2``; zero terms are skipped."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
+        terms: list[tuple[Fraction, str]] = []
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
@@ -197,11 +214,8 @@ class PolyQ:
                     body = f"{mag.numerator}{xpow}"
                 else:
                     body = f"{rational_to_str(mag)}*{xpow}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((c, body))
+        return signed_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +245,10 @@ def _primitive(row: Sequence[int]) -> list[int]:
     return [c // g for c in row]
 
 
-def _int_row(f: PolyQ) -> list[int]:
-    """f times the lcm of its denominators, as an integer row."""
-    scale = _ilcm(*(c.denominator for c in f.coeffs))
+def _int_row(f: PolyQ, scale: int = 0) -> list[int]:
+    """f times ``scale`` as an integer row; ``scale`` must be a multiple of
+    f's denominators and defaults to their lcm."""
+    scale = scale or _ilcm(*(c.denominator for c in f.coeffs))
     return [c.numerator * (scale // c.denominator) for c in f.coeffs]
 
 
@@ -512,7 +527,9 @@ class RationalFunctionQ:
     Canonical form: the polynomial gcd is divided out, both parts are scaled
     by one common rational so all coefficients are integers of joint content
     1, and the denominator's constant term is positive.  Equal functions
-    therefore compare equal structurally.
+    therefore compare equal structurally.  It is computed on integer rows:
+    num and den over one common denominator, divided exactly by their
+    primitive gcd (Gauss's lemma), then by their joint content.
     """
 
     __slots__ = ("num", "den")
@@ -520,34 +537,21 @@ class RationalFunctionQ:
     def __init__(self, num: "PolyQ | Coefficient", den: "PolyQ | Coefficient" = 1):
         num = num if isinstance(num, PolyQ) else PolyQ((num,))
         den = den if isinstance(den, PolyQ) else PolyQ((den,))
-        if den.is_zero or not den(0):
+        if den.is_zero or not den.coeffs[0]:
             raise ValueError("denominator must not vanish at 0")
-        if num.is_zero:
-            self.num = PolyQ()
-            self.den = PolyQ((1,))
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        scale_den = _ilcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        ints = [c.numerator * (scale_den // c.denominator) for c in num.coeffs + den.coeffs]
-        content = 0
-        for v in ints:
-            content = _igcd(content, abs(v))
-        scale = Fraction(scale_den, content)
-        if den(0) < 0:
-            scale = -scale
-        self.num = num * scale
-        self.den = den * scale
+        scale = _ilcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        n, d = _int_row(num, scale), _int_row(den, scale)
+        g = _gcd_rows(n, d)
+        n, d = _exact_quotient(n, g), _exact_quotient(d, g)
+        content = _igcd(*n, *d)
+        if d[0] < 0:
+            content = -content
+        self.num = PolyQ([c // content for c in n])
+        self.den = PolyQ([c // content for c in d])
 
     @classmethod
     def from_poly(cls, poly: PolyQ) -> "RationalFunctionQ":
         return cls(poly, PolyQ((1,)))
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunctionQ):
@@ -561,12 +565,8 @@ class RationalFunctionQ:
         return f"RationalFunctionQ({self.num!r}, {self.den!r})"
 
     def __str__(self) -> str:
-        if self.is_polynomial:
-            c = self.den.coeffs[0]
-            if c == 1:
-                return self.num.text()
-            return (self.num * (Fraction(1) / c)).text()
-        return f"({self.num.text()})/({self.den.text()})"
+        """The ``ppk rw`` text form, ``(num) / (den)``."""
+        return f"({self.num.text()}) / ({self.den.text()})"
 
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return RationalFunctionQ(self.num * other.num, self.den * other.den)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
+from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str, signed_sum
 from .theta import _ext_pair, _row_coeffs
 from .words import (
     Word,
@@ -343,9 +343,7 @@ class BlockPolynomial:
         return {w for mono in self.terms for w, _ in mono.factors}
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
+        terms: list[tuple[Fraction, str]] = []
         for mono, coeff in self.terms.items():
             mag = abs(coeff)
             if mono.is_constant:
@@ -354,11 +352,8 @@ class BlockPolynomial:
                 body = str(mono)
             else:
                 body = f"{rational_to_str(mag)}*{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((coeff, body))
+        return signed_sum(terms)
 
     def json_obj(self) -> dict:
         return {

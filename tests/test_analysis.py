@@ -1,5 +1,7 @@
 """Roots, convergence verdicts, families and term-count asymptotics."""
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -84,6 +86,8 @@ class TestTermBounds:
         vals = [term_bound_asymptotic(2, j) for j in range(5, 30)]
         assert all(v > 0 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
+        with pytest.raises(ValueError, match="needs j >= 1"):
+            term_bound_asymptotic(2, 0)
 
 
 class TestRootFinder:
@@ -238,6 +242,12 @@ class TestClassification:
         with pytest.raises(ValueError):
             log_rat_coeff_exact(classify_word(W("10")), 0)
 
+    def test_incomplete_profile_refused(self):
+        prof = classify_word(W("110"))
+        dropped = dataclasses.replace(prof, zeros=prof.zeros[1:])
+        with pytest.raises(ValueError, match="incomplete root profile for 110"):
+            log_rat_coeff_exact(dropped, 1)
+
     def test_dominant_singularity_governs_tail(self):
         # one simple real singularity nearest the origin forces
         # c_j ~ -eps xi^j / j, sign alternating with the negative root
@@ -348,6 +358,20 @@ class TestFamilies:
         quotient, remainder = divmod(q_polynomial(2), PolyQ([-1, 1]))
         assert remainder.is_zero
         assert quotient == PolyQ([1, 1, 4])
+
+    def test_forms_digest(self):
+        # both variants for s <= 40; the digest was taken with the Fraction
+        # canonical form of RationalFunctionQ
+        h = hashlib.sha256()
+        for variant in ("ones_zero", "ones_zero_zero"):
+            for s in range(1, 41):
+                form, rep = closed_form_family(s, variant)
+                num = ",".join(str(c) for c in form.num.coeffs)
+                den = ",".join(str(c) for c in form.den.coeffs)
+                h.update(f"{variant} {s} {rep.matches} {num} {den}\n".encode())
+        assert h.hexdigest() == (
+            "424c4d1681856b9718f557d3d62d8c88f1d2e58db241c54e39e8e0693e0cfbfa"
+        )
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -339,10 +339,20 @@ class TestExitCodes:
             ("columns", "--tmax", "2", "--jmax", "1", "--mmax", "0"),
             ("columns", "--p", "3", "--tmax", "2", "--jmax", "1", "--mmax", "8"),
         ]
-        for argv in cases:
-            code, _, err = cli(*argv)
+        # messages of rejections that no other test reaches
+        messages = {
+            ("poly", "--cumulative", "--j", "0"): "cumulative polynomials need j >= 1",
+            ("theta", "--n", "8", "--j", "-1"): "j must be >= 0",
+            ("terms", "--jmax", "-1"): "jmax must be >= 0",
+            ("tildetheta", "--kmax", "-1", "--nmax", "3"): "kmax and nmax must be >= 0",
+            ("coeffs", "--monomial", "10^x"): "bad exponent in '10^x'",
+        }
+        for argv in cases + list(messages):
+            code, out, err = cli(*argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv
+            if argv in messages:
+                assert (out, err) == ("", f"error: {messages[argv]}\n"), argv
 
     def test_negative_tol_is_rejected_not_divergent(self, cli):
         # 10 is convergent; a bad tolerance must not read as a verdict

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ppk import oracle
+from ppk.cli import main
 from ppk.oracle import (
     ValuationTriple,
     column_check,
@@ -81,6 +82,10 @@ class TestValuation:
 
     def test_scan_parallel_agrees(self):
         assert triple_agreement_scan(2, 400, jobs=2) == (True, None)
+
+    def test_empty_scan(self):
+        assert triple_agreement_scan(2, 0) == (True, None)
+        assert triple_agreement_scan(2, 0, jobs=4) == (True, None)
 
 
 class TestRowCounts:
@@ -204,6 +209,54 @@ class TestEquivalence:
         assert not rep.poly_ok and not rep.ok
         assert rep.poly_counterexample == (first, 3)
         assert equivalence_report(2, n_max).ok
+
+
+class TestCounterexamples:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_triple_counterexample(self, monkeypatch, capsys, jobs):
+        # one extra factor p at 12 in the factorial route: for n_max = 16
+        # the routes first disagree at (12, 1), in the second of two chunks
+        sieve = oracle._valuation_sieve
+
+        def tampered(limit, p):
+            v = sieve(limit, p)
+            if limit > 12:
+                v[12] += 1
+            return v
+
+        monkeypatch.setattr(oracle, "_valuation_sieve", tampered)
+        assert triple_agreement_scan(2, 16, jobs=jobs) == (False, (12, 1))
+        rep = equivalence_report(2, 16, jobs=jobs)
+        assert not rep.ok and rep.triple_counterexample == (12, 1)
+        assert rep.rows_ok and rep.poly_ok
+        assert main(["verify", "--nmax", "16", "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().out == (
+            "valuation triple: FAIL at (12, 1)\n"
+            "row counts: ok\n"
+            "polynomial identity: ok\n"
+            "FAIL\n"
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_row_count_counterexample(self, monkeypatch, capsys, jobs):
+        row_coeffs = oracle._row_coeffs
+
+        def tampered(p, n):
+            row = row_coeffs(p, n)
+            return row if n != 5 else row[:-1] + [row[-1] + 1]
+
+        monkeypatch.setattr(oracle, "_row_coeffs", tampered)
+        rep = equivalence_report(3, 9, jobs=jobs)
+        assert rep.triple_ok and not rep.rows_ok and not rep.ok
+        assert rep.rows_counterexample == 5
+        # the identity check needs the rows and is skipped, not failed
+        assert rep.poly_ok and rep.poly_counterexample is None
+        assert main(["verify", "--p", "3", "--nmax", "9", "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "row counts: FAIL at 5",
+            "polynomial identity: ok",
+            "FAIL",
+        ]
 
 
 class RecordingPool:

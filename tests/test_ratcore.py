@@ -3,24 +3,34 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from ppk import ratcore
 from ppk.analysis import _half_substitute, classify_word, poly_roots, q_polynomial
 from ppk.ratcore import (
     _CERT_PRIME,
     PolyQ,
     RationalFunctionQ,
     SeriesQ,
+    _exact_quotient,
     _int_row,
     _squarefree_mod,
     poly_gcd,
     rational_from_str,
     rational_to_str,
+    signed_sum,
     squarefree_decomposition,
 )
-from ppk.synth import _rw_parts
-from ppk.words import enumerate_admissible
+from ppk.synth import (
+    BlockPolynomial,
+    _quotient_rows,
+    _rw_parts,
+    r_w_closed,
+    r_w_quotient,
+)
+from ppk.words import Word, enumerate_admissible
 
 
 def rand_poly(rng, degree, scale=9):
@@ -90,6 +100,11 @@ class TestPolyQ:
         assert PolyQ([1, Fraction(1, 2), 1]).text() == "1 + 1/2*x + x^2"
         assert PolyQ([0, -1, 0, Fraction(-3, 4)]).text() == "-x - 3/4*x^3"
         assert PolyQ().text() == "0"
+
+    def test_signed_sum(self):
+        assert signed_sum([]) == "0"
+        assert signed_sum([(Fraction(-1, 2), "1/2*x")]) == "-1/2*x"
+        assert signed_sum([(3, "3"), (-1, "x"), (2, "2x^2")]) == "3 - x + 2x^2"
 
     def test_monomial_and_constant(self):
         assert PolyQ.monomial(5, 3) == PolyQ([0, 0, 0, 5])
@@ -257,6 +272,14 @@ class TestIntegerCore:
                 f = f * power(g, rng.randint(1, 3))
             assert squarefree_decomposition(f) == reference_squarefree(f)
 
+    def test_exact_quotient(self):
+        assert _exact_quotient([2, 3, 1], [1, 1]) == [2, 1]
+        assert _exact_quotient([], [3, 1]) == []
+        with pytest.raises(ArithmeticError, match="not exact"):
+            _exact_quotient([1, 0, 1], [1, 1])  # remainder 2
+        with pytest.raises(ArithmeticError, match="not exact"):
+            _exact_quotient([1, 2], [0, 2])  # lead divides, constant does not
+
     def test_zero_and_constant(self):
         for f in (PolyQ(), PolyQ([Fraction(5, 3)]), PolyQ([-1])):
             assert squarefree_decomposition(f) == []
@@ -399,3 +422,88 @@ class TestRationalFunctionQ:
         z = RationalFunctionQ(PolyQ(), PolyQ([3, 1]))
         assert z.num.is_zero
         assert z.den == PolyQ([1])
+
+    def test_truediv(self):
+        a = RationalFunctionQ(PolyQ([1, 1]), PolyQ([2, 1]))
+        b = RationalFunctionQ(PolyQ([1, 1]), PolyQ([3, -1]))
+        q = a / b
+        assert (q.num, q.den) == (PolyQ([3, -1]), PolyQ([2, 1]))
+        assert q * b == a
+        with pytest.raises(ValueError):
+            a / RationalFunctionQ(PolyQ([0, 1]), PolyQ([1]))
+
+    def test_str_is_the_rw_form(self):
+        assert str(r_w_quotient(Word.parse("110", 2))) == "(4 + 2x + x^2) / (4 + 2x)"
+        assert str(RationalFunctionQ(PolyQ([Fraction(1, 2), 1]))) == "(1 + 2x) / (2)"
+        assert str(RationalFunctionQ(PolyQ(), PolyQ([3, 1]))) == "(0) / (1)"
+        assert BlockPolynomial(2, 1, {}).text() == "0"
+
+
+def reference_canonical(num, den):
+    """The canonical (num, den) by Fraction Euclid, monic gcd and Fraction
+    division, then a common rational scale: the reference for the row core."""
+    if num.is_zero:
+        return PolyQ(), PolyQ([1])
+    g = reference_gcd(num, den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    coeffs = num.coeffs + den.coeffs
+    scale_den = lcm(*(c.denominator for c in coeffs))
+    content = 0
+    for c in coeffs:
+        content = gcd(content, c.numerator * (scale_den // c.denominator))
+    scale = Fraction(scale_den, content)
+    if den(0) < 0:
+        scale = -scale
+    return num * scale, den * scale
+
+
+def assert_reference_form(rf, num, den):
+    assert (rf.num, rf.den) == reference_canonical(num, den)
+
+
+class TestCanonicalForm:
+    def test_random_pairs_match_reference(self):
+        rng = random.Random(12)
+        shapes = {"common": 0, "negative": 0, "zero": 0, "constant": 0}
+        for _ in range(200):
+            a = rand_poly(rng, rng.randint(0, 4))
+            b = rand_poly(rng, rng.randint(0, 3))
+            g = rand_poly(rng, rng.randint(0, 3))
+            if rng.random() < 0.15:
+                a = PolyQ()
+            if rng.random() < 0.15:
+                b = PolyQ([rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+            num, den = a * g, b * g
+            if den.is_zero or not den(0):
+                continue
+            assert_reference_form(RationalFunctionQ(num, den), num, den)
+            shapes["common"] += g.degree > 0 and g.coeffs[-1] != 1 and not num.is_zero
+            shapes["negative"] += den(0) < 0
+            shapes["zero"] += num.is_zero
+            shapes["constant"] += den.degree == 0
+        # every case the row core handles differently was drawn
+        assert min(shapes.values()) >= 10, shapes
+
+    @pytest.mark.parametrize("p, max_len", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_rw_matches_reference(self, p, max_len):
+        for w in enumerate_admissible(p, max_len - 1):
+            num, den = map(PolyQ, _quotient_rows(w))
+            assert_reference_form(r_w_quotient(w), num, den)
+            num, den = map(PolyQ, _rw_parts(w))
+            assert_reference_form(r_w_closed(w), num, den)
+
+    def test_no_fraction_division_or_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction polynomial division or gcd")
+
+        monkeypatch.setattr(PolyQ, "__divmod__", refuse)
+        monkeypatch.setattr(PolyQ, "__floordiv__", refuse)
+        monkeypatch.setattr(ratcore, "poly_gcd", refuse)
+        common = PolyQ([1, Fraction(3, 2), 7])
+        f = RationalFunctionQ(common * PolyQ([1, 1]), common * PolyQ([-2, 5]))
+        assert (f.num, f.den) == (PolyQ([-1, -1]), PolyQ([2, -5]))
+        assert r_w_quotient(Word.parse("100111111110", 2)) == r_w_closed(
+            Word.parse("100111111110", 2)
+        )
+        assert f / f == RationalFunctionQ(1)

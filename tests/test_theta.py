@@ -79,6 +79,14 @@ TILDE_KMAX = {2: 6, 3: 8, 5: 9}
 
 
 class TestRowPolynomials:
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            T_poly(1, 3)
+        with pytest.raises(ValueError, match="row index must be >= 0"):
+            T_poly(2, -1)
+        with pytest.raises(ValueError, match="word base does not match p"):
+            Tbar(3, Word(2, (1, 0)))
+
     def test_small_golden_rows(self):
         assert T_poly(2, 8).text() == "2 + x + 2x^2 + 4x^3"
         assert T_poly(2, 6) == PolyQ([4, 2, 1])

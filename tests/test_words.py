@@ -108,6 +108,10 @@ class TestExpansions:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             expand(-1, 2)
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            expand(5, 1)
+        with pytest.raises(ValueError, match="digit_sum needs n >= 0"):
+            digit_sum(-1, 2)
         with pytest.raises(ValueError):
             padic_valuation(0, 2)
 
