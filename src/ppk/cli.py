@@ -699,6 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before numpy loads: ppk threads no BLAS call, and OpenBLAS's thread
+    # pool costs start-up time; a value the user set still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

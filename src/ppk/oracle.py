@@ -7,13 +7,14 @@ Row histograms and column densities built on top give the reference data the
 recurrence and the synthesized polynomials are checked against.
 
 Scans are exhaustive over stated ranges; numpy carries the bulk loops, and
-range partitioning across processes is available where a scan is wide.
+range partitioning across processes is available where a scan is wide.  The
+process pool is imported only when one starts, so serial runs never load
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -120,14 +121,22 @@ _DS_CACHE: dict[int, np.ndarray] = {}
 
 
 def _digit_sum_table(limit: int, p: int) -> np.ndarray:
-    """s_p(m) for m < limit; the largest table per base is kept and sliced."""
+    """s_p(m) for m < limit; the largest table per base is kept and sliced.
+
+    Filled in place block by block: with s[:block] done for block = p^k,
+    s_p(d p^k + m) = d + s_p(m) for 0 < d < p and m < p^k fills the next
+    p - 1 blocks, so the table costs one pass over its length.
+    """
     have = _DS_CACHE.get(p)
     if have is None or len(have) < limit:
-        x = np.arange(limit, dtype=np.int64)
         s = np.zeros(limit, dtype=np.int64)
-        while x.max(initial=0) > 0:
-            s += x % p
-            x //= p
+        block = 1
+        while block < limit:
+            for d in range(1, p):
+                # empty past the limit; the slice clips the last block
+                part = s[d * block : (d + 1) * block]
+                np.add(s[: len(part)], d, out=part)
+            block *= p
         _DS_CACHE[p] = s
         have = s
     return have[:limit]
@@ -174,6 +183,8 @@ def _spread(fn, jobs: int, *iterables) -> list:
     jobs = min(jobs, len(calls))
     if jobs <= 1:
         return [fn(*args) for args in calls]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*calls)))
 
@@ -304,28 +315,25 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     _digit_sum_table(n_max, p)
     triple_ok, triple_bad = triple_agreement_scan(p, n_max, jobs)
 
-    rows_bad = None
-    brute = []
-    for n in range(n_max):
-        counts = row_counts_bruteforce(p, n)
-        brute.append(counts)
-        if _row_coeffs(p, n) != counts:
-            rows_bad = n
-            break
+    # the identity is checked against the brute rows, which come from digit
+    # sums alone, so it runs also when the recurrence's rows disagree
+    brute = [row_counts_bruteforce(p, n) for n in range(n_max)]
+    rows_bad = next(
+        (n for n, counts in enumerate(brute) if _row_coeffs(p, n) != counts), None
+    )
 
     poly_bad = None
-    if rows_bad is None:
-        j_top = max(len(c) - 1 for c in brute)
-        for n in range(n_max):
-            t0 = theta0(p, n)
-            counts = counting_factor_counts(expand(n, p))
-            for j, value in enumerate(evaluate_levels(p, j_top, counts)):
-                want = brute[n][j] if j < len(brute[n]) else 0
-                if value * t0 != want:
-                    poly_bad = (n, j)
-                    break
-            if poly_bad:
+    j_top = max(len(c) - 1 for c in brute)
+    for n in range(n_max):
+        t0 = theta0(p, n)
+        counts = counting_factor_counts(expand(n, p))
+        for j, value in enumerate(evaluate_levels(p, j_top, counts)):
+            want = brute[n][j] if j < len(brute[n]) else 0
+            if value * t0 != want:
+                poly_bad = (n, j)
                 break
+        if poly_bad:
+            break
 
     return VerifyReport(
         p,

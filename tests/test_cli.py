@@ -14,8 +14,11 @@ from ppk.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "docs" / "schemas"
-# subprocesses find ppk in src/ also when the checkout is not installed
+# subprocesses find ppk in src/ also when the checkout is not installed; they
+# run without OPENBLAS_NUM_THREADS, which in-process main calls set, so that
+# the command line's own default applies
 SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+SRC_ENV.pop("OPENBLAS_NUM_THREADS", None)
 
 CLASSIFY_SCAN_6 = """\
 checked: 31
@@ -450,6 +453,18 @@ class TestEnvironment:
         code, _, err = cli("verify", "--nmax", "32")
         assert code == 2 and "PPK_JOBS" in err
 
+    def test_one_blas_thread_by_default(self, cli, monkeypatch):
+        # set, then delete, so that monkeypatch also removes what main adds
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert cli("theta", "--n", "5")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_user_blas_threads_kept(self, cli, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert cli("theta", "--n", "5")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
 
 class TestDeterminism:
     def test_monomial_spellings_agree(self, cli):
@@ -477,10 +492,20 @@ class TestDeterminism:
         header = runs[0].split(b"\r\n", 1)[0]
         assert header == b"word,class,max_xi_modulus,dominant_singularity,coefficient_sum"
 
+    def test_roots_ignore_blas_threads(self):
+        # the command line's default of one OpenBLAS thread against two
+        argv = [sys.executable, "-m", "ppk", "classify", "--maxlen", "9"]
+        runs = [
+            subprocess.run(argv, capture_output=True, check=True, env=env).stdout
+            for env in (SRC_ENV, dict(SRC_ENV, OPENBLAS_NUM_THREADS="2"))
+        ]
+        assert runs[0] == runs[1]
+
 
 class TestPinnedOutputs:
-    # the synthesis commands among the benchmark's pins; the pin file is
-    # read, never written
+    # the benchmark's pins that run in a few seconds, through the real entry
+    # point, so numpy starts under the command line's defaults; the pin file
+    # is read, never written
     @pytest.mark.parametrize(
         "command",
         [
@@ -488,6 +513,10 @@ class TestPinnedOutputs:
             "poly --p 2 --j 4 --format json",
             "terms --p 5 --jmax 4",
             "terms --p 3 --jmax 3",
+            "classify --p 2 --maxlen 5",
+            "classify --p 3 --maxlen 5",
+            "verify --p 2 --nmax 32 --jobs 2",
+            "columns --p 2 --tmax 4 --jmax 2 --mmax 256 --jobs 1",
         ],
     )
     def test_exit_and_sha256(self, command):
@@ -566,3 +595,18 @@ class TestImports:
             capture_output=True, check=True, text=True, env=SRC_ENV,
         )
         assert run.stdout.endswith("\nFalse\n")
+
+    def test_library_imports_leave_pool_and_environment_alone(self):
+        # a serial scan never imports the process pool, and only the
+        # command line sets a default for OpenBLAS's threads
+        code = (
+            "import os, sys, ppk, ppk.oracle\n"
+            "ppk.oracle.column_scan(3, 2, 256)\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, check=True, text=True, env=SRC_ENV,
+        )
+        assert run.stdout == "False\nFalse\n"

@@ -1,9 +1,11 @@
 """Brute-force cross checks: valuation routes, row histograms, columns."""
 
+import concurrent.futures
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ppk import oracle
@@ -114,6 +116,34 @@ class TestRowCounts:
                 assert row_counts_bruteforce(p, n) == [
                     int(c) for c in T_poly(p, n).coeffs
                 ]
+
+
+class TestDigitSumTable:
+    # the in-place block fill against the textbook digit sum, at the block
+    # edges p^k - 1, p^k, p^k + 1 and around one digit
+    @staticmethod
+    def limits(p):
+        return sorted({0, 1, p - 1, p, p + 1, p**4 - 1, p**4, p**4 + 1})
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_fresh_table(self, monkeypatch, p):
+        for limit in self.limits(p):
+            monkeypatch.setattr(oracle, "_DS_CACHE", {})
+            table = oracle._digit_sum_table(limit, p)
+            assert table.dtype == np.int64
+            assert table.tolist() == [digit_sum(m, p) for m in range(limit)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_grown_table(self, monkeypatch, p):
+        monkeypatch.setattr(oracle, "_DS_CACHE", {})
+        limits = self.limits(p)
+        want = [digit_sum(m, p) for m in range(limits[-1])]
+        # each limit above the last grows the cached table
+        for limit in limits:
+            assert oracle._digit_sum_table(limit, p).tolist() == want[:limit]
+        assert len(oracle._DS_CACHE[p]) == limits[-1]
+        # and a smaller one is a slice of it
+        assert oracle._digit_sum_table(p + 1, p).tolist() == want[: p + 1]
 
 
 class TestColumns:
@@ -249,12 +279,46 @@ class TestCounterexamples:
         rep = equivalence_report(3, 9, jobs=jobs)
         assert rep.triple_ok and not rep.rows_ok and not rep.ok
         assert rep.rows_counterexample == 5
-        # the identity check needs the rows and is skipped, not failed
+        # the identity runs against the brute rows, not the recurrence's,
+        # and holds
         assert rep.poly_ok and rep.poly_counterexample is None
         assert main(["verify", "--p", "3", "--nmax", "9", "--jobs", str(jobs)]) == 1
         assert capsys.readouterr().out.splitlines()[1:] == [
             "row counts: FAIL at 5",
             "polynomial identity: ok",
+            "FAIL",
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_identity_checked_after_row_count_failure(
+        self, monkeypatch, capsys, jobs
+    ):
+        # a wrong row 5 from the recurrence and a wrong level 1 at row 7:
+        # both checks run, and each reports its own counterexample
+        row_coeffs = oracle._row_coeffs
+        levels = oracle.evaluate_levels
+        row_7 = counting_factor_counts(expand(7, 3))
+
+        def tampered_rows(p, n):
+            row = row_coeffs(p, n)
+            return row if n != 5 else row[:-1] + [row[-1] + 1]
+
+        def tampered_levels(p, j_max, counts):
+            values = levels(p, j_max, counts)
+            if counts != row_7:
+                return values
+            return values[:1] + (values[1] + 1,) + values[2:]
+
+        monkeypatch.setattr(oracle, "_row_coeffs", tampered_rows)
+        monkeypatch.setattr(oracle, "evaluate_levels", tampered_levels)
+        rep = equivalence_report(3, 9, jobs=jobs)
+        assert rep.triple_ok and not rep.ok
+        assert not rep.rows_ok and rep.rows_counterexample == 5
+        assert not rep.poly_ok and rep.poly_counterexample == (7, 1)
+        assert main(["verify", "--p", "3", "--nmax", "9", "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "row counts: FAIL at 5",
+            "polynomial identity: FAIL at (7, 1)",
             "FAIL",
         ]
 
@@ -281,7 +345,8 @@ class TestWorkerCap:
     def pools(self, monkeypatch):
         seen = []
         monkeypatch.setattr(RecordingPool, "seen", seen, raising=False)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+        # _spread imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return seen
 
     def test_triple_scan_no_more_workers_than_rows(self, pools):
