@@ -48,11 +48,13 @@ from .words import Word
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
-# Without --force a synthesis level j needs j <= DESK_SCALE_JMAX and a term
-# bound B_j <= SYNTH_TERM_CAP (P_11 has 13082 terms at p=2, B_11 = 13144)
 DESK_SCALE_JMAX = 12
-SYNTH_TERM_CAP = 30691  # B_12 at p=2: the load that p=2 already allows
-CAPS_TEXT = "12, 6, 4, 3 at p = 2, 3, 5, 7"
+
+# The highest synthesis level built without --force: the largest
+# j <= DESK_SCALE_JMAX whose term bound B_j stays within B_12 = 30691 at p=2,
+# the load that p=2 already allows (P_11 has 13082 terms at p=2, B_11 = 13144)
+CAPS = {2: 12, 3: 6, 5: 4, 7: 3}
+CAPS_TEXT = ", ".join(map(str, CAPS.values())) + " at p = " + ", ".join(map(str, CAPS))
 
 
 class UsageError(ValueError):
@@ -116,8 +118,7 @@ def _unit_tol(args: argparse.Namespace) -> float:
 
 
 def _check_cap(name: str, value: int, p: int, force: bool) -> None:
-    bounds = term_bound_series(p, DESK_SCALE_JMAX)
-    cap = max(j for j, b in enumerate(bounds) if b <= SYNTH_TERM_CAP)
+    cap = CAPS[p]
     if value > cap and not force:
         raise UsageError(
             f"{name} = {value} exceeds the default cap {cap}; "
@@ -270,7 +271,7 @@ def cmd_coeffs(args: argparse.Namespace) -> Output:
             "p": args.p,
             "monomial": str(mono),
             "order": order,
-            "coefficients": [rational_to_str(c) for c in series.coeffs],
+            "coefficients": series.to_json(),
         }
         if total is not None:
             obj["sum"] = {

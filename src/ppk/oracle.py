@@ -278,7 +278,7 @@ def column_scan(
     """column_check for every t <= t_max."""
     ts = range(t_max + 1)
     # one digit-sum table for the widest column, sliced by every t, and
-    # P_0..P_jmax with their index, built here for forked workers to inherit
+    # P_0..P_jmax with their trie, built here for forked workers to inherit
     _digit_sum_table(m_max + t_max, 2)
     evaluate_levels(2, j_max, {})
     return tuple(
@@ -311,7 +311,8 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     histogram equals the row polynomial coefficients, and the synthesized
     level polynomials reproduce the histogram through theta_0 scaling.
     """
-    # one digit-sum table for the widest row, before forked workers start
+    # one digit-sum table for the widest row, before forked workers start;
+    # the cached build of P_0..P_J and its trie are made after them, here
     _digit_sum_table(n_max, p)
     triple_ok, triple_bad = triple_agreement_scan(p, n_max, jobs)
 

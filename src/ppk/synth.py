@@ -390,13 +390,22 @@ class BlockPolynomial:
         return self.evaluate_counts(counting_factor_counts(expand(n, self.p)))
 
 
-@functools.cache
-def block_polynomials_up_to(
-    p: int, jmax: int
-) -> tuple[BlockPolynomial, ...]:
+class _Levels(tuple):
+    """P_0..P_J as built, with the trie for ``evaluate_levels`` made from
+    their terms on first use.  No ``__slots__``: ``cached_property`` keeps
+    the trie in the instance dict, so it lives and dies with the build."""
+
+    @functools.cached_property
+    def trie(self) -> _LevelIndex:
+        return _LevelIndex(self)
+
+
+@functools.lru_cache(maxsize=1)
+def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
     """Build P_0 .. P_jmax in one shared pass over the monomial tree.
 
-    The only cache of built polynomials.  The tree walk reuses the partial
+    The cache keeps the last build, and its trie with it; asking for another
+    (p, jmax) frees both.  The tree walk reuses the partial
     coefficient-series product of each monomial prefix, so every monomial
     costs one truncated product of integer offset series, from its weight
     up to x^jmax.  The walk gives the monomials in canonical order, so every
@@ -413,7 +422,7 @@ def block_polynomials_up_to(
         for j, c in enumerate(nums, low):
             if c:
                 tables[j][mono] = Fraction(c, d)
-    return tuple(BlockPolynomial(p, j, t) for j, t in enumerate(tables))
+    return _Levels(BlockPolynomial(p, j, t) for j, t in enumerate(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +497,6 @@ class _LevelIndex:
         return tuple(Fraction(a, d) for a, d in zip(acc, self.dens))
 
 
-# the index of the last build asked for; an older build is not kept alive
-_INDEX: tuple[tuple[BlockPolynomial, ...], _LevelIndex] | None = None
-
-
 def evaluate_levels(
     p: int, jmax: int, counts: dict[Word, int]
 ) -> tuple[Fraction, ...]:
@@ -499,19 +504,14 @@ def evaluate_levels(
 
     Equal to ``[P.evaluate_counts(counts) for P in
     block_polynomials_up_to(p, jmax)]``, but only the monomials whose words
-    all have a nonzero count are visited.  The index of the last build asked
-    for is kept, and rebuilt when another build is asked for.
+    all have a nonzero count are visited, on the trie of the cached build.
     """
-    global _INDEX
-    polys = block_polynomials_up_to(p, jmax)
-    if _INDEX is None or _INDEX[0] is not polys:
-        _INDEX = (polys, _LevelIndex(polys))
-    return _INDEX[1].evaluate(counts)
+    return block_polynomials_up_to(p, jmax).trie.evaluate(counts)
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:
     """P_j from the cached build of P_0..P_j; that build is keyed by (p, j),
-    so after a larger build this builds levels 0..j once more."""
+    so after a larger build this builds levels 0..j once more, in its place."""
     if j < 0:
         raise ValueError("level must be >= 0")
     return block_polynomials_up_to(p, j)[j]

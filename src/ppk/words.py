@@ -133,9 +133,9 @@ def complement(w: Word) -> Word:
 def factor_count(v: Union[int, Word], w: Word) -> int:
     """Occurrences of w in v's expansion, padded with zeros on the left.
 
-    Windows are anchored at every digit position of v (least significant
-    offsets 0..len(v)-1); positions above the expansion read as 0.  w must
-    contain a nonzero digit, otherwise the count would be infinite.
+    w occurs at offset i < len(v) when floor(n / p^i) mod p^len(w) =
+    value(w), for n the value of v; digits above the expansion read as 0.
+    w must contain a nonzero digit, otherwise the count would be infinite.
     """
     if all(d == 0 for d in w.digits):
         raise ValueError("counted word needs a nonzero digit")
@@ -143,18 +143,12 @@ def factor_count(v: Union[int, Word], w: Word) -> int:
         v = expand(v, w.p)
     elif v.p != w.p:
         raise ValueError("factor_count needs matching bases")
-    dv = v.digits[::-1]
-    dw = w.digits[::-1]
-    nv, nw = len(dv), len(dw)
+    n, p, target = v.value, w.p, w.value
+    window = p ** len(w)
     count = 0
-    for i in range(nv):
-        for k in range(nw):
-            pos = i + k
-            digit = dv[pos] if pos < nv else 0
-            if digit != dw[k]:
-                break
-        else:
-            count += 1
+    for _ in range(len(v)):
+        count += n % window == target
+        n //= p
     return count
 
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from ppk.cli import main
+import ppk.cli as cli_module
+from ppk.analysis import term_bound_series
+from ppk.cli import CAPS, SUPPORTED_PRIMES, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "docs" / "schemas"
@@ -435,6 +437,29 @@ class TestExitCodes:
             )
         code, _, _ = cli("poly", "--p", "5", "--j", "4")
         assert code == 0
+
+    def test_caps_table_follows_rule(self):
+        # the cap is the largest j <= 12 whose term bound stays within B_12
+        # at p = 2
+        limit = term_bound_series(2, 12)[12]
+        assert limit == 30691
+        assert set(CAPS) == set(SUPPORTED_PRIMES)
+        for p in SUPPORTED_PRIMES:
+            bounds = term_bound_series(p, 12)
+            assert CAPS[p] == max(j for j, b in enumerate(bounds) if b <= limit)
+
+    def test_caps_need_no_term_bound(self, cli, monkeypatch):
+        calls = []
+
+        def counted(p, j_max):
+            calls.append((p, j_max))
+            return term_bound_series(p, j_max)
+
+        monkeypatch.setattr(cli_module, "term_bound_series", counted)
+        assert cli("poly", "--p", "2", "--j", "4")[0] == 0
+        assert calls == []
+        assert cli("terms", "--p", "3", "--jmax", "3")[0] == 0
+        assert calls == [(3, 3)]
 
 
 class TestEnvironment:

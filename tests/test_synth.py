@@ -471,6 +471,17 @@ class TestEvaluateLevels:
         gc.collect()
         assert ref() is None
 
+    def test_next_build_frees_the_last(self):
+        block_polynomials_up_to.cache_clear()
+        evaluate_levels(2, 8, {})
+        polys = block_polynomials_up_to(2, 8)
+        refs = [weakref.ref(polys[0]), weakref.ref(polys.trie)]
+        del polys
+        evaluate_levels(3, 4, {})
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert block_polynomials_up_to.cache_info().currsize == 1
+
     def test_empty_counts_leave_the_constant(self):
         assert evaluate_levels(2, 3, {}) == (1, 0, 0, 0)
 

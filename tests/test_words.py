@@ -35,6 +35,26 @@ def brute_factor_count(n, w):
     return total
 
 
+def digit_loop_factor_count(v, w):
+    """Digit-by-digit window scan over the reversed expansion of v (an int
+    or a Word): the reference for factor_count's integer windows."""
+    if isinstance(v, int):
+        v = expand(v, w.p)
+    dv = v.digits[::-1]
+    dw = w.digits[::-1]
+    nv, nw = len(dv), len(dw)
+    count = 0
+    for i in range(nv):
+        for k in range(nw):
+            pos = i + k
+            digit = dv[pos] if pos < nv else 0
+            if digit != dw[k]:
+                break
+        else:
+            count += 1
+    return count
+
+
 class TestWordBasics:
     def test_parse_and_str(self):
         w = Word.parse("1021", 3)
@@ -143,6 +163,25 @@ class TestFactorCounting:
             if all(d == 0 for d in w.digits):
                 continue
             assert factor_count(n, w) == brute_factor_count(n, w)
+
+    def test_matches_digit_loop(self):
+        rng = random.Random(25)
+        compared = 0
+        while compared < 20000:
+            p = rng.choice((2, 3, 5, 7))
+            w = Word(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 5))))
+            if not any(w.digits):
+                continue
+            if rng.random() < 0.5:
+                v = rng.randrange(0, p**8)
+            else:  # a row given as a word, possibly with leading zeros
+                v = Word(p, tuple(rng.randrange(p) for _ in range(rng.randint(0, 8))))
+            got = factor_count(v, w)
+            assert got == digit_loop_factor_count(v, w), (v, w)
+            if w.in_counting_set:
+                row = v if isinstance(v, Word) else expand(v, p)
+                assert got == counting_factor_counts(row).get(w, 0), (v, w)
+            compared += 1
 
     def test_counting_factor_counts_complete(self):
         rng = random.Random(24)
