@@ -23,9 +23,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, _int_row, _squarefree_rows
-from .synth import Monomial, _rw_parts, r_w_quotient
+from .synth import Monomial, _row_memo, _rw_parts, r_w_quotient
 from .theta import Tbar
 from .words import Word, enumerate_admissible
 
@@ -156,14 +157,17 @@ class RootProfile:
     coefficient_sum: float | None
 
 
-def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
+def classify_word(
+    w: Word, tol: float = 1e-6, *, rows: Callable[[int], list[int]] | None = None
+) -> RootProfile:
     """Convergence verdict for the coefficient series of X_w.
 
     divergent when max |xi| > 1 + tol, convergent when < 1 - tol, boundary in
     between; the band lists roots within tol of the unit circle.  tol must
     lie in (0, 1), since at tol >= 1 no word could be convergent.
     Convergent words get coefficient_sum = log r_w(1) attached (valid up to
-    the radius, and at 1 by continuity).
+    the radius, and at 1 by continuity).  ``rows`` is passed on to
+    ``synth._rw_parts``: a scan passes one memo of row polynomials.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
@@ -171,7 +175,7 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
         raise ValueError("tol must be below 1, or no word can classify convergent")
     if not w.is_admissible:
         raise ValueError(f"classification needs an admissible word: {w}")
-    num, den = _rw_parts(w)
+    num, den = _rw_parts(w, rows)
     zeros = tuple(_row_roots(num))
     poles = tuple(_row_roots(den))
     # N = b D + a c x^m with a, c > 0 has degree >= m >= 1: roots is never empty
@@ -263,7 +267,8 @@ def scan_convergent_words(p: int, max_len: int, tol: float = 1e-6) -> ScanReport
     certificates in the tests.
     """
     words = enumerate_admissible(p, max_len - 1)
-    profiles = tuple(classify_word(w, tol) for w in words)
+    rows = _row_memo(p)  # w_L and w_R are shared: build each row once
+    profiles = tuple(classify_word(w, tol, rows=rows) for w in words)
     convergent = tuple(pr.word for pr in profiles if pr.classification == "convergent")
     boundary = tuple(pr.word for pr in profiles if pr.classification == "boundary")
     divergent_count = sum(pr.classification == "divergent" for pr in profiles)

@@ -537,10 +537,21 @@ class RationalFunctionQ:
     def __init__(self, num: "PolyQ | Coefficient", den: "PolyQ | Coefficient" = 1):
         num = num if isinstance(num, PolyQ) else PolyQ((num,))
         den = den if isinstance(den, PolyQ) else PolyQ((den,))
-        if den.is_zero or not den.coeffs[0]:
-            raise ValueError("denominator must not vanish at 0")
         scale = _ilcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        n, d = _int_row(num, scale), _int_row(den, scale)
+        self._canonical(_int_row(num, scale), _int_row(den, scale))
+
+    @classmethod
+    def from_rows(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunctionQ":
+        """num / den for integer coefficient rows (constant term first), with
+        no ``Fraction`` on the way in."""
+        rf = cls.__new__(cls)
+        rf._canonical(list(num), list(den))
+        return rf
+
+    def _canonical(self, n: list[int], d: list[int]) -> None:
+        """Set num and den to the canonical form of the integer rows n / d."""
+        if not d or not d[0]:
+            raise ValueError("denominator must not vanish at 0")
         g = _gcd_rows(n, d)
         n, d = _exact_quotient(n, g), _exact_quotient(d, g)
         content = _igcd(*n, *d)

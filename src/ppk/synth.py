@@ -20,19 +20,26 @@ Tbar_{w_R}) with an explicit rational alpha_w.  This module builds r_w both
 ways, integrates the logarithmic derivative of the closed form for log r_w,
 enumerates monomials by total weight, and assembles the polynomials exactly,
 on integer numerators over one denominator per series.
+
+The build runs on integer word ids in ``enumerate_admissible`` order: a
+monomial is a tuple of (id, exponent) pairs, and each level stores its
+coefficients as integer numerators and denominators.  A ``Monomial`` and a
+``Fraction`` are made only where output or the public API reads a level's
+``terms``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str, signed_sum
+from .ratcore import RationalFunctionQ, SeriesQ, rational_to_str, signed_sum
 from .theta import _ext_pair, _row_coeffs
 from .words import (
     Word,
@@ -87,7 +94,7 @@ def _alpha(p: int, d: Sequence[int]) -> tuple[int, int]:
 
 def r_w_quotient(w: Word) -> RationalFunctionQ:
     """r_w from its definition as a quotient of normalized row polynomials."""
-    return RationalFunctionQ(*map(PolyQ, _quotient_rows(w)))
+    return RationalFunctionQ.from_rows(*_quotient_rows(w))
 
 
 def _quotient_rows(w: Word) -> tuple[list[int], list[int]]:
@@ -104,23 +111,37 @@ def _quotient_rows(w: Word) -> tuple[list[int], list[int]]:
 
 def r_w_closed(w: Word) -> RationalFunctionQ:
     """r_w from the closed form 1 + alpha x^{len(w)-1}/(Tbar_{w_L} Tbar_{w_R})."""
-    num, bd = _rw_parts(w)
-    return RationalFunctionQ(PolyQ(num), PolyQ(bd))
+    return RationalFunctionQ.from_rows(*_rw_parts(w))
 
 
-def _rw_parts(w: Word) -> tuple[list[int], list[int]]:
+def _check_admissible(w: Word) -> None:
+    if not w.is_admissible:
+        raise ValueError(f"the closed form of r_w needs an admissible word: {w}")
+
+
+def _row_memo(p: int) -> Callable[[int], list[int]]:
+    """n -> ``_row_coeffs(p, n)``, each row built once; a scan's own memo
+    for ``_rw_parts``, dropped with the scan."""
+    return functools.cache(lambda n: _row_coeffs(p, n))
+
+
+def _rw_parts(
+    w: Word, rows: Callable[[int], list[int]] | None = None
+) -> tuple[list[int], list[int]]:
     """r_w = N / (b D) in lowest terms, as integer coefficient lists.
 
     With D = T_{w_L} T_{w_R}, c = D(0), alpha_w = a/b and m = len(w) - 1,
     N = b D + a c x^m.  A common factor of N and b D divides a c x^m, and
-    b D(0) = b c != 0, so there is none.
+    b D(0) = b c != 0, so there is none.  ``rows`` maps n to the row
+    coefficients of T_n (a ``_row_memo`` in a scan); by default each row is
+    built afresh.
     """
-    if not w.is_admissible:
-        raise ValueError(f"the closed form of r_w needs an admissible word: {w}")
+    _check_admissible(w)
     a, b = _alpha(w.p, w.digits)
     m = len(w.digits) - 1
     wl, wr, _ = truncations(w)
-    tl, tr = _row_coeffs(w.p, wl.value), _row_coeffs(w.p, wr.value)
+    rows = rows or functools.partial(_row_coeffs, w.p)
+    tl, tr = rows(wl.value), rows(wr.value)
     bd = [b * x for x in _mul(tl, tr, len(tl) + len(tr) - 1)]
     num = bd + [0] * (m + 1 - len(bd))
     num[m] += a * tl[0] * tr[0]
@@ -138,6 +159,9 @@ def _rw_parts(w: Word) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 _Offset = tuple[int, int, list[int]]
+
+# a monomial in a walk: its (word id, exponent) pairs, ids rising
+_Key = tuple[tuple[int, int], ...]
 
 
 def _reduced(w: int, d: int, nums: list[int]) -> _Offset:
@@ -163,7 +187,12 @@ def _times(a: _Offset, b: _Offset, k: int, order: int) -> _Offset:
     """a * b / k truncated at x^order."""
     wa, da, xs = a
     wb, db, ys = b
-    return _reduced(wa + wb, da * db * k, _mul(xs, ys, order - wa - wb + 1))
+    w = wa + wb
+    if w == order and xs and ys:  # one coefficient: one product, one gcd
+        c, d = xs[0] * ys[0], da * db * k
+        g = math.gcd(c, d)
+        return (w, d // g, [c // g]) if c else (w, 1, [])
+    return _reduced(w, da * db * k, _mul(xs, ys, order - w + 1))
 
 
 def _log_rw(w: Word, order: int) -> _Offset:
@@ -179,6 +208,10 @@ def _log_rw(w: Word, order: int) -> _Offset:
     n = order - m
     if n < 0:
         return m, 1, []
+    if n == 0:  # r_w = 1 + alpha_w x^m + O(x^(m+1))
+        _check_admissible(w)
+        a, b = _alpha(w.p, w.digits)
+        return m, b, [a]
     num, bd = _rw_parts(w)
     ac = sum(num) - sum(bd)  # N(1) - b D(1)
     content = math.gcd(*bd)
@@ -231,6 +264,14 @@ class Monomial:
     def of(cls, pairs: Iterable[tuple[Word, int]]) -> "Monomial":
         return cls(tuple(sorted(pairs, key=lambda fk: fk[0].sort_key())))
 
+    @classmethod
+    def _walked(cls, words: Sequence[Word], key: _Key) -> "Monomial":
+        """The monomial of a walk key over ``words``; the walk gives ids
+        rising and exponents >= 1, so the factors are not checked again."""
+        mono = cls.__new__(cls)
+        object.__setattr__(mono, "factors", tuple((words[i], k) for i, k in key))
+        return mono
+
     @property
     def is_constant(self) -> bool:
         return not self.factors
@@ -261,48 +302,66 @@ class Monomial:
 
 
 def _monomial_tree(
-    words: Sequence[Word],
+    wts: Sequence[int],
     jmax: int,
     root: object = None,
     extend: Callable[[object, int, int], object] = lambda value, i, k: value,
-) -> list[tuple[Monomial, object]]:
-    """The monomials of total weight <= jmax in words (given in Word order)
-    with their values, in canonical ``Monomial.sort_key`` order.
+) -> Iterator[tuple[_Key, object]]:
+    """The monomials of total weight <= jmax in words of weights ``wts``
+    (given in Word order, so the weights never fall) with their values, in
+    canonical ``Monomial.sort_key`` order.
 
-    The constant monomial carries ``root``; appending X_{words[i]}^k to a
-    node carries ``extend(v, i, k)``, with v the value for exponent k - 1.
-    The walk goes depth first, word ids rising and exponents falling: that
-    is canonical order among the monomials of one weight and shape (factor
-    weights, largest first), so the nodes are grouped by that key and the
-    groups joined in key order.
+    A monomial is a key: its (word id, exponent) pairs, ids rising.  The
+    constant monomial carries ``root``; appending factor (i, k) to a node
+    carries ``extend(v, i, k)``, with v the value for exponent k - 1.  The
+    walk goes depth first, word ids rising and exponents falling: that is
+    canonical order among the monomials of one shape (factor weights,
+    largest first), so the nodes are grouped by shape and the groups joined
+    in (weight, shape) order, each dropped once it is given out.
     """
-    wts = [len(w.digits) - 1 for w in words]
-    factors: list[tuple[Word, int]] = []
-    groups: dict[tuple[int, tuple[int, ...]], list[tuple[Monomial, object]]] = {}
+    factors: list[tuple[int, int]] = []
+    # shape -> (keys, values), in walk order
+    groups: dict[tuple[int, ...], tuple[list[_Key], list[object]]] = {}
+    firsts = [(i, 1) for i in range(len(wts))]  # one pair (i, 1) for all leaves
 
     def rec(idx: int, budget: int, shape: tuple[int, ...], value: object) -> None:
-        key = (jmax - budget, shape)
-        groups.setdefault(key, []).append((Monomial(tuple(factors)), value))
-        for i in range(idx, len(words)):
+        keys, values = groups.setdefault(shape, ([], []))
+        keys.append(tuple(factors))
+        values.append(value)
+        top = bisect.bisect_left(wts, budget, idx)
+        for i in range(idx, top):
             wt = wts[i]
-            if wt > budget:
-                break
             chain = [value]
             for k in range(1, budget // wt + 1):
                 chain.append(extend(chain[-1], i, k))
             for k in range(len(chain) - 1, 0, -1):
-                factors.append((words[i], k))
+                factors.append((i, k))
                 rec(i + 1, budget - k * wt, (wt,) * k + shape, chain[k])
                 factors.pop()
+        # a factor of weight budget ends the branch, with exponent 1
+        end = bisect.bisect_right(wts, budget, top)
+        if top < end:
+            base = tuple(factors)
+            keys, values = groups.setdefault((budget,) + shape, ([], []))
+            for i in range(top, end):
+                keys.append((*base, firsts[i]))
+                values.append(extend(value, i, 1))
 
     rec(0, jmax, (), root)
-    return [node for key in sorted(groups) for node in groups[key]]
+    for shape in sorted(groups, key=lambda shape: (sum(shape), shape)):
+        yield from zip(*groups.pop(shape))
+
+
+def _weights(words: Sequence[Word]) -> list[int]:
+    return [len(w.digits) - 1 for w in words]
 
 
 def monomials_up_to_weight(p: int, jmax: int) -> list[Monomial]:
     """All monomials of total weight <= jmax (constant included), in canonical
     order."""
-    return [mono for mono, _ in _monomial_tree(enumerate_admissible(p, jmax), jmax)]
+    words = enumerate_admissible(p, jmax)
+    walk = _monomial_tree(_weights(words), jmax)
+    return [Monomial._walked(words, key) for key, _ in walk]
 
 
 def monomial_series(mono: Monomial, order: int) -> SeriesQ:
@@ -323,21 +382,53 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
     return _to_series(s, order)
 
 
-@dataclass
 class BlockPolynomial:
     """Polynomial for one level j: maps factor counts to theta(j)/theta(0).
 
-    The terms are kept in the order given; the build and
-    ``cumulative_polynomial`` give them in canonical order.
+    ``terms`` maps each monomial to its nonzero coefficient, in the order
+    given; the build and ``cumulative_polynomial`` give canonical order.  A
+    level of the build stores its terms as (key, numerator, denominator)
+    rows, with the walk's keys over ``enumerate_admissible(p, J)``, and
+    makes its ``Monomial``s and ``Fraction``s on the first read of
+    ``terms``; ``term_count`` reads the rows.
     """
 
-    p: int
-    j: int
-    terms: dict[Monomial, Fraction]
+    def __init__(self, p: int, j: int, terms: dict[Monomial, Fraction]) -> None:
+        self.p = p
+        self.j = j
+        self._terms: dict[Monomial, Fraction] | None = terms
+        self._words: Sequence[Word] = ()
+        self._rows: list[tuple[_Key, int, int]] = []
+
+    @classmethod
+    def _stored(
+        cls, p: int, j: int, words: Sequence[Word], rows: list[tuple[_Key, int, int]]
+    ) -> "BlockPolynomial":
+        poly = cls(p, j, {})
+        poly._terms, poly._words, poly._rows = None, words, rows
+        return poly
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        if self._terms is None:
+            words = self._words
+            self._terms = {
+                Monomial._walked(words, key): Fraction(c, d)
+                for key, c, d in self._rows
+            }
+            self._words, self._rows = (), []
+        return self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BlockPolynomial):
+            return (self.p, self.j, self.terms) == (other.p, other.j, other.terms)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self._rows) if self._terms is None else len(self._terms)
 
     def words(self) -> set[Word]:
         return {w for mono in self.terms for w, _ in mono.factors}
@@ -408,21 +499,26 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
     (p, jmax) frees both.  The tree walk reuses the partial
     coefficient-series product of each monomial prefix, so every monomial
     costs one truncated product of integer offset series, from its weight
-    up to x^jmax.  The walk gives the monomials in canonical order, so every
-    level's terms are filled in that order.
+    up to x^jmax; at weight jmax that is one product of leading
+    coefficients.  The walk gives the monomials in canonical order as
+    (word id, exponent) keys, so every level stores its nonzero
+    coefficients in that order as (key, numerator, denominator); no
+    ``Monomial`` or ``Fraction`` is made until a level's ``terms`` is read.
     """
     words = enumerate_admissible(p, jmax)
     logs = [_log_rw(w, jmax) for w in words]
-    tables: list[dict[Monomial, Fraction]] = [{} for _ in range(jmax + 1)]
+    rows: list[list[tuple[_Key, int, int]]] = [[] for _ in range(jmax + 1)]
     root: _Offset = (0, 1, [1])
     walk = _monomial_tree(
-        words, jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
+        _weights(words), jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
     )
-    for mono, (low, d, nums) in walk:
+    for key, (low, d, nums) in walk:
         for j, c in enumerate(nums, low):
             if c:
-                tables[j][mono] = Fraction(c, d)
-    return _Levels(BlockPolynomial(p, j, t) for j, t in enumerate(tables))
+                rows[j].append((key, c, d))
+    return _Levels(
+        BlockPolynomial._stored(p, j, words, level) for j, level in enumerate(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import ppk.cli as cli_module
+from ppk import synth
 from ppk.analysis import term_bound_series
 from ppk.cli import CAPS, SUPPORTED_PRIMES, main
 
@@ -584,6 +585,58 @@ class TestOrderedOutputs:
                 assert code == 0
                 h.update(out.encode())
         assert h.hexdigest() == digest
+
+
+class Refuse:
+    """Stands in for a class that must not be used: calling it or reading
+    any attribute fails."""
+
+    def __init__(self, what):
+        self.what = what
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"made a {self.what}")
+
+    def __getattr__(self, name):
+        raise AssertionError(f"made a {self.what}")
+
+
+class TestBuildsOnlyWhatItPrints:
+    # the build stores word ids and integers; a Monomial or a Fraction is
+    # made only for a level whose terms are read
+    def test_terms_makes_no_monomial_or_fraction(self, cli, monkeypatch):
+        synth.block_polynomials_up_to.cache_clear()
+        want = cli("terms", "--p", "3", "--jmax", "3")
+        synth.block_polynomials_up_to.cache_clear()
+        monkeypatch.setattr(synth, "Monomial", Refuse("Monomial"))
+        monkeypatch.setattr(synth, "Fraction", Refuse("Fraction"))
+        try:
+            got = cli("terms", "--p", "3", "--jmax", "3")
+        finally:
+            synth.block_polynomials_up_to.cache_clear()
+        assert got == want and want[0] == 0
+
+    def test_poly_makes_only_its_own_monomials(self, cli, monkeypatch):
+        made = []
+
+        class Counted(synth.Monomial):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                made.append(cls)
+                return super().__new__(cls)
+
+        synth.block_polynomials_up_to.cache_clear()
+        want = cli("poly", "--p", "2", "--j", "6")
+        synth.block_polynomials_up_to.cache_clear()
+        monkeypatch.setattr(synth, "Monomial", Counted)
+        try:
+            got = cli("poly", "--p", "2", "--j", "6")
+            count = synth.block_polynomial(2, 6).term_count
+        finally:
+            synth.block_polynomials_up_to.cache_clear()
+        assert got == want and want[0] == 0
+        assert len(made) == count == 174
 
 
 class TestHighOrderGoldens:

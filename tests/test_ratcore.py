@@ -25,6 +25,7 @@ from ppk.ratcore import (
 )
 from ppk.synth import (
     BlockPolynomial,
+    _mul,
     _quotient_rows,
     _rw_parts,
     r_w_closed,
@@ -492,6 +493,28 @@ class TestCanonicalForm:
             assert_reference_form(r_w_quotient(w), num, den)
             num, den = map(PolyQ, _rw_parts(w))
             assert_reference_form(r_w_closed(w), num, den)
+
+    def test_from_rows_matches_polyq_path(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+            den = [rng.choice([-1, 1]) * rng.randint(1, 9)]
+            den += [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+            g = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(2)]
+            num, den = _mul(num, g, len(num) + 2), _mul(den, g, len(den) + 2)
+            want = RationalFunctionQ(PolyQ(num), PolyQ(den))
+            # trailing zeros are allowed in a row
+            assert RationalFunctionQ.from_rows(num + [0], den + [0, 0]) == want
+        for den in ([], [0], [0, 1]):
+            with pytest.raises(ValueError):
+                RationalFunctionQ.from_rows([1], den)
+
+    def test_rw_takes_no_fraction_on_the_way_in(self, monkeypatch):
+        # the rows go straight to the integer core; only the canonical
+        # result is held as PolyQ
+        monkeypatch.setattr(ratcore, "_int_row", None)
+        w = Word.parse("10110", 2)
+        assert str(r_w_quotient(w)) == str(r_w_closed(w))
 
     def test_no_fraction_division_or_gcd(self, monkeypatch):
         def refuse(*args):

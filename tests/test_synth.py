@@ -16,7 +16,9 @@ from ppk.synth import (
     block_polynomial,
     block_polynomials_up_to,
     _LevelIndex,
+    _log_rw,
     _mul,
+    _reduced,
     _rw_parts,
     cumulative_polynomial,
     evaluate_levels,
@@ -340,6 +342,69 @@ class TestWalkAgainstQuotient:
                 assert polys[j].terms.get(mono, 0) == s[j], (str(mono), j)
                 seen[j] += s[j] != 0
         assert seen == [q.term_count for q in polys]
+
+
+def reference_build(p, jmax):
+    """P_0..P_jmax as dicts, built as before the walk ran on word ids: a
+    recursive walk whose nodes are validated ``Monomial``s, each step a full
+    truncated product, every log r_w from the closed form one order higher
+    and cut (so no top word takes the alpha_w shortcut), every level a dict
+    of ``Fraction``s filled by (weight, shape) groups."""
+    words = enumerate_admissible(p, jmax)
+    wts = [len(w) - 1 for w in words]
+
+    def cut_log(w):
+        low, d, nums = _log_rw(w, jmax + 1)
+        return _reduced(low, d, nums[: jmax + 1 - low])
+
+    def times(a, b, k):
+        (wa, da, xs), (wb, db, ys) = a, b
+        return _reduced(wa + wb, da * db * k, _mul(xs, ys, jmax - wa - wb + 1))
+
+    logs = [cut_log(w) for w in words]
+    factors, groups = [], {}
+
+    def rec(idx, budget, shape, value):
+        node = (Monomial(tuple(factors)), value)
+        groups.setdefault((jmax - budget, shape), []).append(node)
+        for i in range(idx, len(words)):
+            wt = wts[i]
+            if wt > budget:
+                break
+            chain = [value]
+            for k in range(1, budget // wt + 1):
+                chain.append(times(chain[-1], logs[i], k))
+            for k in range(len(chain) - 1, 0, -1):
+                factors.append((words[i], k))
+                rec(i + 1, budget - k * wt, (wt,) * k + shape, chain[k])
+                factors.pop()
+
+    rec(0, jmax, (), (0, 1, [1]))
+    tables = [{} for _ in range(jmax + 1)]
+    for key in sorted(groups):
+        for mono, (low, d, nums) in groups[key]:
+            for j, c in enumerate(nums, low):
+                if c:
+                    tables[j][mono] = Fraction(c, d)
+    return tables
+
+
+class TestAgainstReferenceBuild:
+    @pytest.mark.parametrize("p, jmax", [(2, 10), (3, 5), (5, 4), (7, 3)])
+    def test_every_level_in_order(self, p, jmax):
+        ref = reference_build(p, jmax)
+        block_polynomials_up_to.cache_clear()
+        polys = block_polynomials_up_to(p, jmax)
+        # term_count reads the stored rows, before any terms are made
+        assert [q.term_count for q in polys] == [len(t) for t in ref]
+        for poly, want in zip(polys, ref):
+            assert list(poly.terms.items()) == list(want.items()), poly.j
+            assert poly.term_count == len(want)
+
+    def test_top_log_needs_admissible(self):
+        # log r_w to x^m is alpha_w x^m, read without the closed form
+        with pytest.raises(ValueError):
+            log_rw_series(W("12", 3), 1)
 
 
 class TestBlockPolynomials:
