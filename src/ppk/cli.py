@@ -11,8 +11,10 @@ fixed key layout.
 
 Exit status: 0 on success, 1 when a verification run finds a counterexample,
 2 when the input is rejected (unknown words, unsupported primes,
-out-of-range bounds).  Any other error is a fault of the program: it ends
-with a traceback and status 1.
+out-of-range bounds), and 141 (128 + SIGPIPE) when the reader closes stdout
+before the output is written, as ``| head`` does; that case prints nothing
+on stderr.  Any other error is a fault of the program: it ends with a
+traceback and status 1.
 """
 
 from __future__ import annotations
@@ -144,22 +146,29 @@ def _complex_json(z: complex) -> list[float]:
 class Output:
     """What a handler prints, one builder per format, and its exit status.
 
-    ``json`` returns the JSON object, ``csv`` the rows (header first) and
-    ``text`` the lines without newlines.  Only the builder of the printed
-    format is called, so no run pays for another format.  A handler raises
-    ``UsageError`` before it returns, never from a builder, so rejected
-    input prints nothing on stdout.
+    ``json`` returns the JSON text in chunks, without the final newline,
+    ``csv`` the rows (header first) and ``text`` the lines without newlines.
+    Only the builder of the printed format is called, so no run pays for
+    another format.  A handler raises ``UsageError`` before it returns,
+    never from a builder, so rejected input prints nothing on stdout.
     """
 
-    json: Callable[[], object]
+    json: Callable[[], Iterable[str]]
     csv: Callable[[], Iterable[Sequence[object]]]
     text: Callable[[], Iterable[str]]
     status: int = 0
 
 
+def _json_of(build: Callable[[], object]) -> Callable[[], Iterable[str]]:
+    """The JSON builder for an object: the chunks that ``json.dump`` writes
+    with ``indent=2``."""
+    return lambda: json.JSONEncoder(indent=2).iterencode(build())
+
+
 def _write(out: Output, fmt: str, stream: TextIO) -> int:
     if fmt == "json":
-        json.dump(out.json(), stream, indent=2)
+        for chunk in out.json():
+            stream.write(chunk)
         stream.write("\n")
     elif fmt == "csv":
         csv.writer(stream).writerows(out.csv())
@@ -186,11 +195,10 @@ def cmd_poly(args: argparse.Namespace) -> Output:
 
     def as_csv():
         yield ["monomial", "coeff"]
-        for mono, coeff in poly.terms.items():
-            yield [str(mono), rational_to_str(coeff)]
+        yield from poly.csv_rows()
 
     return Output(
-        json=lambda: {**poly.json_obj(), "cumulative": args.cumulative},
+        json=lambda: poly.json_chunks(cumulative=args.cumulative),
         csv=as_csv,
         text=lambda: [poly.text()],
     )
@@ -207,19 +215,19 @@ def cmd_theta(args: argparse.Namespace) -> Output:
             raise UsageError("j must be >= 0")
         count = theta(args.p, args.j, args.n)
         return Output(
-            json=lambda: {
+            json=_json_of(lambda: {
                 "p": args.p,
                 "n": args.n,
                 "j": args.j,
                 "count": count,
-            },
+            }),
             csv=lambda: [["j", "count"], [args.j, count]],
             text=lambda: [str(count)],
         )
     poly = T_poly(args.p, args.n)
     counts = [int(c) for c in poly.coeffs]
     return Output(
-        json=lambda: {"p": args.p, "n": args.n, "coefficients": counts},
+        json=_json_of(lambda: {"p": args.p, "n": args.n, "coefficients": counts}),
         csv=lambda: [["j", "count"], *enumerate(counts)],
         text=lambda: [poly.text()],
     )
@@ -232,12 +240,12 @@ def cmd_rw(args: argparse.Namespace) -> Output:
     w = _parse_admissible(args.word, args.p)
     rf = r_w_quotient(w)
     return Output(
-        json=lambda: {
+        json=_json_of(lambda: {
             "p": args.p,
             "word": str(w),
             "numerator": [rational_to_str(c) for c in rf.num.coeffs],
             "denominator": [rational_to_str(c) for c in rf.den.coeffs],
-        },
+        }),
         csv=lambda: [
             ["part", "text"],
             ["numerator", rf.num.text()],
@@ -293,7 +301,7 @@ def cmd_coeffs(args: argparse.Namespace) -> Output:
         if total is not None:
             yield f"sum = {total.value!r} (error <= {total.error_bound!r})"
 
-    return Output(as_json, as_csv, as_text)
+    return Output(_json_of(as_json), as_csv, as_text)
 
 
 # -- verify ----------------------------------------------------------------
@@ -317,7 +325,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
         yield "ok" if report.ok else "FAIL"
 
     return Output(
-        json=lambda: {
+        json=_json_of(lambda: {
             "p": report.p,
             "n_max": report.n_max,
             "checks": [
@@ -325,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
                 for name, ok, bad in checks
             ],
             "ok": report.ok,
-        },
+        }),
         csv=lambda: [
             ["check", "ok", "counterexample"],
             *(
@@ -350,12 +358,12 @@ def cmd_terms(args: argparse.Namespace) -> Output:
     ]
     bound = term_bound_series(args.p, args.jmax)
     return Output(
-        json=lambda: {
+        json=_json_of(lambda: {
             "p": args.p,
             "j_max": args.jmax,
             "actual": actual,
             "bound": bound,
-        },
+        }),
         csv=lambda: [
             ["j", "actual", "bound"],
             *zip(range(args.jmax + 1), actual, bound),
@@ -421,7 +429,7 @@ def cmd_classify(args: argparse.Namespace) -> Output:
         w = _parse_admissible(args.word, args.p)
         profile = classify_word(w, tol=tol)
         return Output(
-            json=lambda: _profile_json(profile),
+            json=_json_of(lambda: _profile_json(profile)),
             csv=lambda: [CLASSIFY_HEADER, _classify_row(profile)],
             text=lambda: _profile_text(profile),
         )
@@ -439,7 +447,7 @@ def cmd_classify(args: argparse.Namespace) -> Output:
         yield _listing("boundary", report.boundary)
 
     return Output(
-        json=lambda: {
+        json=_json_of(lambda: {
             "p": report.p,
             "max_len": report.max_len,
             "tol": report.tol,
@@ -451,7 +459,7 @@ def cmd_classify(args: argparse.Namespace) -> Output:
             "exceptional": [str(w) for w in report.exceptional],
             "boundary": [str(w) for w in report.boundary],
             "profiles": [_profile_json(pr) for pr in report.profiles],
-        },
+        }),
         csv=lambda: [CLASSIFY_HEADER, *map(_classify_row, report.profiles)],
         text=as_text,
     )
@@ -469,13 +477,13 @@ def cmd_tildetheta(args: argparse.Namespace) -> Output:
         else tilde_table(args.p, args.kmax, args.nmax)
     )
     return Output(
-        json=lambda: {
+        json=_json_of(lambda: {
             "p": args.p,
             "k_max": args.kmax,
             "n_max": args.nmax,
             "product": args.product,
             "rows": table,
-        },
+        }),
         csv=lambda: [
             ["k", *range(args.nmax + 1)],
             *([k, *row] for k, row in enumerate(table)),
@@ -515,7 +523,7 @@ def cmd_columns(args: argparse.Namespace) -> Output:
         yield f"{'ok' if all_ok else 'FAIL'} (worst deviation {worst:.3e})"
 
     return Output(
-        json=lambda: {
+        json=_json_of(lambda: {
             "t_max": args.tmax,
             "j_max": args.jmax,
             "m_max": args.mmax,
@@ -532,7 +540,7 @@ def cmd_columns(args: argparse.Namespace) -> Output:
             ],
             "max_deviation": worst,
             "ok": all_ok,
-        },
+        }),
         csv=as_csv,
         text=as_text,
         status=0 if all_ok else 1,
@@ -710,7 +718,16 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _write(out, args.format, sys.stdout)
+    try:
+        status = _write(out, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is left in the buffer goes to devnull, so
+        # the flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

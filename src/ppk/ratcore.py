@@ -44,6 +44,7 @@ __all__ = [
     "signed_sum",
     "rational_from_str",
     "rational_to_str",
+    "ratio_to_str",
 ]
 
 
@@ -55,9 +56,12 @@ def rational_from_str(text: str) -> Fraction:
 def rational_to_str(q: Coefficient) -> str:
     """Serialize exactly; the denominator is omitted when it is 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_to_str(q.numerator, q.denominator)
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """``rational_to_str`` of num/den, given in lowest terms with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def signed_sum(terms: Iterable[tuple[Coefficient, str]]) -> str:

@@ -23,9 +23,9 @@ on integer numerators over one denominator per series.
 
 The build runs on integer word ids in ``enumerate_admissible`` order: a
 monomial is a tuple of (id, exponent) pairs, and each level stores its
-coefficients as integer numerators and denominators.  A ``Monomial`` and a
-``Fraction`` are made only where output or the public API reads a level's
-``terms``.
+coefficients as integer numerators and denominators.  Printing a level
+reads those rows; a ``Monomial`` and a ``Fraction`` are made only where the
+public API reads a level's ``terms``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .ratcore import RationalFunctionQ, SeriesQ, rational_to_str, signed_sum
+from .ratcore import (
+    RationalFunctionQ,
+    SeriesQ,
+    ratio_to_str,
+    rational_to_str,
+    signed_sum,
+)
 from .theta import _ext_pair, _row_coeffs
 from .words import (
     Word,
@@ -292,13 +298,14 @@ class Monomial:
         return (self.weight, tuple(shape), tuple(expanded))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for w, k in self.factors:
-            body = f"X[{w}]"
-            parts.append(body if k == 1 else f"{body}^{k}")
-        return "*".join(parts)
+        return _monomial_text([(str(w), k) for w, k in self.factors])
+
+
+def _monomial_text(factors: Sequence[tuple[str, int]]) -> str:
+    """A monomial from its (word, exponent) pairs, as ``X[10]^2*X[110]``."""
+    if not factors:
+        return "1"
+    return "*".join(f"X[{w}]" if k == 1 else f"X[{w}]^{k}" for w, k in factors)
 
 
 def _monomial_tree(
@@ -382,6 +389,11 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
     return _to_series(s, order)
 
 
+# a term as it is printed: its (word, exponent) pairs, then its coefficient
+# as a numerator and a positive denominator in lowest terms
+_Term = tuple[list[tuple[str, int]], int, int]
+
+
 class BlockPolynomial:
     """Polynomial for one level j: maps factor counts to theta(j)/theta(0).
 
@@ -390,7 +402,11 @@ class BlockPolynomial:
     level of the build stores its terms as (key, numerator, denominator)
     rows, with the walk's keys over ``enumerate_admissible(p, J)``, and
     makes its ``Monomial``s and ``Fraction``s on the first read of
-    ``terms``; ``term_count`` reads the rows.
+    ``terms``.  ``term_count``, ``text``, ``csv_rows`` and ``json_chunks``
+    read the rows while ``terms`` is unread, taking each word's string from
+    one table per build, so counting or printing a level makes no
+    ``Monomial`` and no ``Fraction``; after that read they read ``terms``.
+    ``json_obj`` always reads ``terms``.
     """
 
     def __init__(self, p: int, j: int, terms: dict[Monomial, Fraction]) -> None:
@@ -398,14 +414,22 @@ class BlockPolynomial:
         self.j = j
         self._terms: dict[Monomial, Fraction] | None = terms
         self._words: Sequence[Word] = ()
+        self._names: Callable[[], Sequence[str]] = tuple
         self._rows: list[tuple[_Key, int, int]] = []
 
     @classmethod
     def _stored(
-        cls, p: int, j: int, words: Sequence[Word], rows: list[tuple[_Key, int, int]]
+        cls,
+        p: int,
+        j: int,
+        words: Sequence[Word],
+        names: Callable[[], Sequence[str]],
+        rows: list[tuple[_Key, int, int]],
     ) -> "BlockPolynomial":
+        """A level of the build: ``names()`` gives the string of each word
+        in ``words``, by id."""
         poly = cls(p, j, {})
-        poly._terms, poly._words, poly._rows = None, words, rows
+        poly._terms, poly._words, poly._names, poly._rows = None, words, names, rows
         return poly
 
     @property
@@ -416,7 +440,7 @@ class BlockPolynomial:
                 Monomial._walked(words, key): Fraction(c, d)
                 for key, c, d in self._rows
             }
-            self._words, self._rows = (), []
+            self._words, self._names, self._rows = (), tuple, []
         return self._terms
 
     def __eq__(self, other: object) -> bool:
@@ -430,21 +454,64 @@ class BlockPolynomial:
     def term_count(self) -> int:
         return len(self._rows) if self._terms is None else len(self._terms)
 
+    def _stream(self) -> Iterator[_Term]:
+        """The terms in order, as printed; from the rows while ``terms`` is
+        unread, with no ``Monomial`` or ``Fraction`` made."""
+        if self._terms is None:
+            names = self._names()
+            for key, c, d in self._rows:
+                g = math.gcd(c, d)
+                yield [(names[i], k) for i, k in key], c // g, d // g
+        else:
+            for mono, q in self._terms.items():
+                factors = [(str(w), k) for w, k in mono.factors]
+                yield factors, q.numerator, q.denominator
+
     def words(self) -> set[Word]:
         return {w for mono in self.terms for w, _ in mono.factors}
 
     def text(self) -> str:
-        terms: list[tuple[Fraction, str]] = []
-        for mono, coeff in self.terms.items():
-            mag = abs(coeff)
-            if mono.is_constant:
-                body = rational_to_str(mag)
-            elif mag == 1:
-                body = str(mono)
+        terms: list[tuple[int, str]] = []
+        for factors, c, d in self._stream():
+            mag = ratio_to_str(abs(c), d)
+            if not factors:
+                body = mag
+            elif mag == "1":
+                body = _monomial_text(factors)
             else:
-                body = f"{rational_to_str(mag)}*{mono}"
-            terms.append((coeff, body))
+                body = f"{mag}*{_monomial_text(factors)}"
+            terms.append((c, body))
         return signed_sum(terms)
+
+    def csv_rows(self) -> Iterator[list[str]]:
+        """One (monomial, coefficient) row per term, with no header."""
+        for factors, c, d in self._stream():
+            yield [_monomial_text(factors), ratio_to_str(c, d)]
+
+    def json_chunks(self, **extra: object) -> Iterator[str]:
+        """The text of ``json.dumps({**self.json_obj(), **extra}, indent=2)``
+        in chunks, one per term, written from the term stream; ``extra``
+        holds scalar fields."""
+        from json import dumps
+        from json.encoder import encode_basestring_ascii as encode
+
+        yield f'{{\n  "p": {self.p},\n  "j": {self.j},\n  "terms": ['
+        sep, close = "", "]"
+        for factors, c, d in self._stream():
+            mono = ",".join(
+                f'\n        {{\n          "word": {encode(w)},'
+                f'\n          "exp": {k}\n        }}'
+                for w, k in factors
+            )
+            if mono:
+                mono += "\n      "
+            yield (
+                f'{sep}\n    {{\n      "monomial": [{mono}],'
+                f'\n      "coeff": "{ratio_to_str(c, d)}"\n    }}'
+            )
+            sep, close = ",", "\n  ]"
+        fields = "".join(f",\n  {encode(k)}: {dumps(v)}" for k, v in extra.items())
+        yield f"{close}{fields}\n}}"
 
     def json_obj(self) -> dict:
         return {
@@ -506,6 +573,7 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
     ``Monomial`` or ``Fraction`` is made until a level's ``terms`` is read.
     """
     words = enumerate_admissible(p, jmax)
+    names = functools.cache(lambda: [str(w) for w in words])
     logs = [_log_rw(w, jmax) for w in words]
     rows: list[list[tuple[_Key, int, int]]] = [[] for _ in range(jmax + 1)]
     root: _Offset = (0, 1, [1])
@@ -517,7 +585,8 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
             if c:
                 rows[j].append((key, c, d))
     return _Levels(
-        BlockPolynomial._stored(p, j, words, level) for j, level in enumerate(rows)
+        BlockPolynomial._stored(p, j, words, names, level)
+        for j, level in enumerate(rows)
     )
 
 

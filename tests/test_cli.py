@@ -616,27 +616,40 @@ class TestBuildsOnlyWhatItPrints:
             synth.block_polynomials_up_to.cache_clear()
         assert got == want and want[0] == 0
 
-    def test_poly_makes_only_its_own_monomials(self, cli, monkeypatch):
-        made = []
-
-        class Counted(synth.Monomial):
-            __slots__ = ()
-
-            def __new__(cls, *args, **kwargs):
-                made.append(cls)
-                return super().__new__(cls)
-
-        synth.block_polynomials_up_to.cache_clear()
-        want = cli("poly", "--p", "2", "--j", "6")
-        synth.block_polynomials_up_to.cache_clear()
-        monkeypatch.setattr(synth, "Monomial", Counted)
-        try:
-            got = cli("poly", "--p", "2", "--j", "6")
-            count = synth.block_polynomial(2, 6).term_count
-        finally:
+    def test_poly_makes_no_monomial_or_fraction(self, cli, monkeypatch):
+        # a stored level prints from its rows in every format
+        for fmt in ("text", "json", "csv"):
+            argv = ("poly", "--p", "2", "--j", "6", "--format", fmt)
             synth.block_polynomials_up_to.cache_clear()
-        assert got == want and want[0] == 0
-        assert len(made) == count == 174
+            want = cli(*argv)
+            synth.block_polynomials_up_to.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(synth, "Monomial", Refuse("Monomial"))
+                patch.setattr(synth, "Fraction", Refuse("Fraction"))
+                try:
+                    got = cli(*argv)
+                finally:
+                    synth.block_polynomials_up_to.cache_clear()
+            assert got == want and want[0] == 0, fmt
+
+
+class TestClosedPipe:
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # each output is larger than a pipe's buffer, so ppk is still writing
+    @pytest.mark.parametrize(
+        "fmt, first", [("csv", b"monomial,coeff\r\n"), ("json", b"{\n")]
+    )
+    def test_exits_141_with_empty_stderr(self, fmt, first):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ppk", "poly", "--j", "10", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV,
+        )
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert line == first and err == b""
 
 
 class TestHighOrderGoldens:

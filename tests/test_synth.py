@@ -2,13 +2,20 @@
 
 import gc
 import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from ppk.ratcore import PolyQ, RationalFunctionQ, SeriesQ
+from ppk.ratcore import (
+    PolyQ,
+    RationalFunctionQ,
+    SeriesQ,
+    rational_to_str,
+    signed_sum,
+)
 from ppk.synth import (
     BlockPolynomial,
     Monomial,
@@ -493,6 +500,79 @@ class TestBlockPolynomials:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             block_polynomial(2, -1)
+
+
+def reference_renders(poly):
+    """(text, csv rows, json) of a level, written from ``terms`` and
+    ``json_obj`` as they were before printing read the stored rows."""
+
+    def mono_text(mono):
+        return "*".join(
+            f"X[{w}]" if k == 1 else f"X[{w}]^{k}" for w, k in mono.factors
+        ) or "1"
+
+    terms = []
+    for mono, coeff in poly.terms.items():
+        mag = abs(coeff)
+        if mono.is_constant:
+            body = rational_to_str(mag)
+        elif mag == 1:
+            body = mono_text(mono)
+        else:
+            body = f"{rational_to_str(mag)}*{mono_text(mono)}"
+        terms.append((coeff, body))
+    rows = [[mono_text(m), rational_to_str(c)] for m, c in poly.terms.items()]
+    return signed_sum(terms), rows, json.dumps(poly.json_obj(), indent=2)
+
+
+def renders(poly):
+    return poly.text(), list(poly.csv_rows()), "".join(poly.json_chunks())
+
+
+class TestRenderFromRows:
+    # text, csv and json of a stored level come from its rows, one json
+    # chunk per term; all three must match the route through ``terms``
+    @pytest.mark.parametrize("p, jmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_every_level_matches_terms(self, p, jmax):
+        polys = block_polynomials_up_to.__wrapped__(p, jmax)
+        streamed = [renders(poly) for poly in polys]
+        chunks = [len(list(poly.json_chunks())) for poly in polys]
+        assert all(poly._terms is None for poly in polys)
+        assert chunks == [poly.term_count + 2 for poly in polys]
+        for poly, got in zip(polys, streamed):
+            want = reference_renders(poly)
+            assert got == want, (p, poly.j)
+            # once terms is read, the renders read it
+            assert renders(poly) == want
+
+    @pytest.mark.parametrize("p, jmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_cumulative_levels_match_terms(self, p, jmax):
+        for j in range(1, jmax + 1):
+            poly = cumulative_polynomial(p, j)
+            assert renders(poly) == reference_renders(poly), (p, j)
+            got = "".join(poly.json_chunks(cumulative=True))
+            want = {**poly.json_obj(), "cumulative": True}
+            assert got == json.dumps(want, indent=2)
+
+    def test_edge_forms(self):
+        p0 = block_polynomials_up_to.__wrapped__(2, 0)[0]
+        assert "".join(p0.json_chunks(cumulative=False)) == (
+            '{\n  "p": 2,\n  "j": 0,\n  "terms": [\n    {\n'
+            '      "monomial": [],\n      "coeff": "1"\n    }\n  ],\n'
+            '  "cumulative": false\n}'
+        )
+        empty = BlockPolynomial(2, 1, {})
+        assert renders(empty) == ("0", [], '{\n  "p": 2,\n  "j": 1,\n  "terms": []\n}')
+        assert renders(empty) == reference_renders(empty)
+
+    def test_changed_terms_render_changed(self):
+        poly = block_polynomials_up_to.__wrapped__(2, 3)[3]
+        first = next(iter(poly.terms))
+        poly.terms[first] = Fraction(7, 3)
+        text, rows, obj = renders(poly)
+        assert (text, rows, obj) == reference_renders(poly)
+        assert text.startswith("7/3*X[10] ") and rows[0] == ["X[10]", "7/3"]
+        assert json.loads(obj)["terms"][0]["coeff"] == "7/3"
 
 
 def dense_levels(p, jmax, counts):
