@@ -324,7 +324,7 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     )
 
     poly_bad = None
-    j_top = max(len(c) - 1 for c in brute)
+    j_top = max((len(c) - 1 for c in brute), default=0)
     for n in range(n_max):
         t0 = theta0(p, n)
         counts = counting_factor_counts(expand(n, p))

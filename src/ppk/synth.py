@@ -23,9 +23,9 @@ on integer numerators over one denominator per series.
 
 The build runs on integer word ids in ``enumerate_admissible`` order: a
 monomial is a tuple of (id, exponent) pairs, and each level stores its
-coefficients as integer numerators and denominators.  Printing a level
-reads those rows; a ``Monomial`` and a ``Fraction`` are made only where the
-public API reads a level's ``terms``.
+coefficients as integer numerators and denominators, its only store.
+Printing, summing and evaluating levels read those rows; a ``Monomial`` and
+a ``Fraction`` are made only where the public API reads ``terms``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ratcore import (
     RationalFunctionQ,
@@ -389,6 +390,9 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
     return _to_series(s, order)
 
 
+# a term as it is stored: its key, a numerator and a positive denominator
+_Row = tuple[_Key, int, int]
+
 # a term as it is printed: its (word, exponent) pairs, then its coefficient
 # as a numerator and a positive denominator in lowest terms
 _Term = tuple[list[tuple[str, int]], int, int]
@@ -397,51 +401,41 @@ _Term = tuple[list[tuple[str, int]], int, int]
 class BlockPolynomial:
     """Polynomial for one level j: maps factor counts to theta(j)/theta(0).
 
-    ``terms`` maps each monomial to its nonzero coefficient, in the order
-    given; the build and ``cumulative_polynomial`` give canonical order.  A
-    level of the build stores its terms as (key, numerator, denominator)
-    rows, with the walk's keys over ``enumerate_admissible(p, J)``, and
-    makes its ``Monomial``s and ``Fraction``s on the first read of
-    ``terms``.  ``term_count``, ``text``, ``csv_rows`` and ``json_chunks``
-    read the rows while ``terms`` is unread, taking each word's string from
-    one table per build, so counting or printing a level makes no
-    ``Monomial`` and no ``Fraction``; after that read they read ``terms``.
-    ``json_obj`` always reads ``terms``.
+    A level is stored once, as its nonzero coefficients in the order given,
+    in (key, numerator, denominator) rows over a word table.  The build and
+    ``cumulative_polynomial`` make rows over ``enumerate_admissible(p, J)``
+    in canonical order, so counting or printing them makes no ``Monomial``
+    and no ``Fraction``; ``BlockPolynomial(p, j, terms)`` turns a dict into
+    rows over a table of its own words in ``Word.sort_key`` order.
+    ``terms`` is a read-only view made from the rows on its first read;
+    ``json_obj``, ``evaluate_counts`` and ``__eq__`` read it.
     """
 
     def __init__(self, p: int, j: int, terms: dict[Monomial, Fraction]) -> None:
-        self.p = p
-        self.j = j
-        self._terms: dict[Monomial, Fraction] | None = terms
-        self._words: Sequence[Word] = ()
-        self._names: Callable[[], Sequence[str]] = tuple
-        self._rows: list[tuple[_Key, int, int]] = []
+        words = sorted({w for m in terms for w, _ in m.factors}, key=Word.sort_key)
+        ids = {w: i for i, w in enumerate(words)}
+        self.p, self.j, self._words = p, j, words
+        self._rows: list[_Row] = [
+            (tuple((ids[w], k) for w, k in m.factors), q.numerator, q.denominator)
+            for m, q in terms.items()
+        ]
 
     @classmethod
     def _stored(
-        cls,
-        p: int,
-        j: int,
-        words: Sequence[Word],
-        names: Callable[[], Sequence[str]],
-        rows: list[tuple[_Key, int, int]],
+        cls, p: int, j: int, words: Sequence[Word], rows: list[_Row]
     ) -> "BlockPolynomial":
-        """A level of the build: ``names()`` gives the string of each word
-        in ``words``, by id."""
-        poly = cls(p, j, {})
-        poly._terms, poly._words, poly._names, poly._rows = None, words, names, rows
+        poly = cls.__new__(cls)
+        poly.p, poly.j, poly._words, poly._rows = p, j, words, rows
         return poly
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        if self._terms is None:
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        if "_view" not in self.__dict__:  # made once, on the first read
             words = self._words
-            self._terms = {
-                Monomial._walked(words, key): Fraction(c, d)
-                for key, c, d in self._rows
-            }
-            self._words, self._names, self._rows = (), tuple, []
-        return self._terms
+            self._view = MappingProxyType(
+                {Monomial._walked(words, k): Fraction(c, d) for k, c, d in self._rows}
+            )
+        return self._view
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BlockPolynomial):
@@ -452,23 +446,18 @@ class BlockPolynomial:
 
     @property
     def term_count(self) -> int:
-        return len(self._rows) if self._terms is None else len(self._terms)
+        return len(self._rows)
 
     def _stream(self) -> Iterator[_Term]:
-        """The terms in order, as printed; from the rows while ``terms`` is
-        unread, with no ``Monomial`` or ``Fraction`` made."""
-        if self._terms is None:
-            names = self._names()
-            for key, c, d in self._rows:
-                g = math.gcd(c, d)
-                yield [(names[i], k) for i, k in key], c // g, d // g
-        else:
-            for mono, q in self._terms.items():
-                factors = [(str(w), k) for w, k in mono.factors]
-                yield factors, q.numerator, q.denominator
+        """The terms in order, as printed, with no ``Monomial`` or
+        ``Fraction`` made."""
+        names = [str(w) for w in self._words]
+        for key, c, d in self._rows:
+            g = math.gcd(c, d)
+            yield [(names[i], k) for i, k in key], c // g, d // g
 
     def words(self) -> set[Word]:
-        return {w for mono in self.terms for w, _ in mono.factors}
+        return {self._words[i] for key, _, _ in self._rows for i, _ in key}
 
     def text(self) -> str:
         terms: list[tuple[int, str]] = []
@@ -550,7 +539,7 @@ class BlockPolynomial:
 
 class _Levels(tuple):
     """P_0..P_J as built, with the trie for ``evaluate_levels`` made from
-    their terms on first use.  No ``__slots__``: ``cached_property`` keeps
+    their rows on first use.  No ``__slots__``: ``cached_property`` keeps
     the trie in the instance dict, so it lives and dies with the build."""
 
     @functools.cached_property
@@ -569,13 +558,13 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
     up to x^jmax; at weight jmax that is one product of leading
     coefficients.  The walk gives the monomials in canonical order as
     (word id, exponent) keys, so every level stores its nonzero
-    coefficients in that order as (key, numerator, denominator); no
-    ``Monomial`` or ``Fraction`` is made until a level's ``terms`` is read.
+    coefficients in that order as (key, numerator, denominator) rows over
+    the table ``enumerate_admissible(p, jmax)``; no ``Monomial`` or
+    ``Fraction`` is made until a level's ``terms`` is read.
     """
     words = enumerate_admissible(p, jmax)
-    names = functools.cache(lambda: [str(w) for w in words])
     logs = [_log_rw(w, jmax) for w in words]
-    rows: list[list[tuple[_Key, int, int]]] = [[] for _ in range(jmax + 1)]
+    rows: list[list[_Row]] = [[] for _ in range(jmax + 1)]
     root: _Offset = (0, 1, [1])
     walk = _monomial_tree(
         _weights(words), jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
@@ -585,7 +574,7 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
             if c:
                 rows[j].append((key, c, d))
     return _Levels(
-        BlockPolynomial._stored(p, j, words, names, level)
+        BlockPolynomial._stored(p, j, words, level)
         for j, level in enumerate(rows)
     )
 
@@ -595,11 +584,12 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
 #
 # At X_w = |n|_w every monomial with a word absent from n is zero, so the
 # levels are evaluated by walking a trie of the monomials that visits only
-# the words present.  A node is a monomial; its children are keyed by the id
-# of the next factor word (ids in enumerate_admissible order, so a path's
-# ids increase) and then by that factor's exponent.  Each node holds its
-# coefficient in every level where it is nonzero, as an integer numerator
-# over that level's lcm denominator, so the walk adds only integers.
+# the words present.  It is made from the levels' rows: a node is a key; its
+# children are keyed by the id of the next factor word (ids in
+# enumerate_admissible order, so a path's ids increase) and then by that
+# factor's exponent.  Each node holds its coefficient in every level where
+# it is nonzero, as an integer numerator over that level's lcm of reduced
+# denominators, so the trie makes no Monomial and the walk adds integers.
 # ---------------------------------------------------------------------------
 
 
@@ -614,27 +604,30 @@ class _Node:
 
 
 class _LevelIndex:
-    """The trie of P_0..P_J for ``evaluate_levels``."""
+    """The trie of P_0..P_J for ``evaluate_levels``; a level's word ids map
+    to ``enumerate_admissible(p, J)`` ids, the identity for the build."""
 
     def __init__(self, polys: Sequence[BlockPolynomial]) -> None:
         words = enumerate_admissible(polys[0].p, len(polys) - 1)
-        self.ids = {w: i for i, w in enumerate(words)}
-        self.dens = [
-            math.lcm(*(c.denominator for c in poly.terms.values()))
-            for poly in polys
-        ]
+        self.ids = ids = {w: i for i, w in enumerate(words)}
+        self.dens: list[int] = []
         self.root = _Node()
+        table, remap = None, []
         for j, poly in enumerate(polys):
-            d = self.dens[j]
-            for mono, coeff in poly.terms.items():
+            if poly._words is not table:  # the build's levels share one table
+                table, remap = poly._words, [ids[w] for w in poly._words]
+            rows = poly._rows
+            d = math.lcm(*(den // math.gcd(c, den) for _, c, den in rows))
+            self.dens.append(d)
+            for key, c, den in rows:
                 node = self.root
-                for w, k in mono.factors:
-                    row = node.children.setdefault(self.ids[w], [None])
+                for i, k in key:
+                    row = node.children.setdefault(remap[i], [None])
                     row.extend([None] * (k + 1 - len(row)))
                     if row[k] is None:
                         row[k] = _Node()
                     node = row[k]
-                node.nums.append((j, coeff.numerator * (d // coeff.denominator)))
+                node.nums.append((j, c * d // den))
 
     def evaluate(self, counts: dict[Word, int]) -> tuple[Fraction, ...]:
         ids = self.ids
@@ -683,16 +676,22 @@ def block_polynomial(p: int, j: int) -> BlockPolynomial:
 
 
 def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
-    """P'_j = P_0 + ... + P_{j-1}: the share of entries with valuation < j."""
+    """P'_j = P_0 + ... + P_{j-1}: the share of entries with valuation < j,
+    as the build's rows merged by key on integers."""
     if j < 1:
         raise ValueError("cumulative level must be >= 1")
+    levels = block_polynomials_up_to(p, j - 1)
     # a monomial first occurs at the level of its weight (the coefficient
     # there is a product of alpha_w > 0), so first appearance is canonical
-    merged: dict[Monomial, Fraction] = {}
-    for poly in block_polynomials_up_to(p, j - 1):
-        for mono, c in poly.terms.items():
-            merged[mono] = merged.get(mono, 0) + c
-    return BlockPolynomial(p, j, {mono: c for mono, c in merged.items() if c})
+    merged: dict[_Key, tuple[int, int]] = {}
+    for poly in levels:
+        for key, c, d in poly._rows:
+            a, b = merged.get(key, (0, 1))
+            c, d = a * d + c * b, b * d
+            g = math.gcd(c, d)
+            merged[key] = c // g, d // g
+    rows = [(key, c, d) for key, (c, d) in merged.items() if c]
+    return BlockPolynomial._stored(p, j, levels[0]._words, rows)
 
 
 def telescope_identity_holds(v: Word, order: int) -> bool:

@@ -617,20 +617,41 @@ class TestBuildsOnlyWhatItPrints:
         assert got == want and want[0] == 0
 
     def test_poly_makes_no_monomial_or_fraction(self, cli, monkeypatch):
-        # a stored level prints from its rows in every format
-        for fmt in ("text", "json", "csv"):
-            argv = ("poly", "--p", "2", "--j", "6", "--format", fmt)
+        # a stored level, and the sum of stored levels, prints from its rows
+        # in every format
+        for extra in ((), ("--cumulative",)):
+            for fmt in ("text", "json", "csv"):
+                argv = ("poly", "--p", "2", "--j", "6", *extra, "--format", fmt)
+                synth.block_polynomials_up_to.cache_clear()
+                want = cli(*argv)
+                synth.block_polynomials_up_to.cache_clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(synth, "Monomial", Refuse("Monomial"))
+                    patch.setattr(synth, "Fraction", Refuse("Fraction"))
+                    try:
+                        got = cli(*argv)
+                    finally:
+                        synth.block_polynomials_up_to.cache_clear()
+                assert got == want and want[0] == 0, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--p", "2", "--nmax", "64"),
+            ("columns", "--tmax", "8", "--jmax", "4", "--mmax", "4096"),
+        ],
+    )
+    def test_trie_makes_no_monomial(self, cli, monkeypatch, argv):
+        # the trie behind verify and columns is made from the stored rows
+        synth.block_polynomials_up_to.cache_clear()
+        want = cli(*argv)
+        synth.block_polynomials_up_to.cache_clear()
+        monkeypatch.setattr(synth, "Monomial", Refuse("Monomial"))
+        try:
+            got = cli(*argv)
+        finally:
             synth.block_polynomials_up_to.cache_clear()
-            want = cli(*argv)
-            synth.block_polynomials_up_to.cache_clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(synth, "Monomial", Refuse("Monomial"))
-                patch.setattr(synth, "Fraction", Refuse("Fraction"))
-                try:
-                    got = cli(*argv)
-                finally:
-                    synth.block_polynomials_up_to.cache_clear()
-            assert got == want and want[0] == 0, fmt
+        assert got == want and want[0] == 0
 
 
 class TestClosedPipe:

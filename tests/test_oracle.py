@@ -214,6 +214,11 @@ class TestEquivalence:
     def test_parallel_matches_serial(self):
         assert equivalence_report(2, 220, jobs=2) == equivalence_report(2, 220)
 
+    def test_empty_range_is_ok(self):
+        # as triple_agreement_scan, n_max = 0 checks the empty range
+        rep = equivalence_report(2, 0)
+        assert rep.ok and rep.n_max == 0
+
     def test_wrong_coefficient_is_caught(self):
         n_max = 64
         rows = [row_counts_bruteforce(2, n) for n in range(n_max)]
@@ -222,7 +227,9 @@ class TestEquivalence:
         try:
             polys = block_polynomials_up_to(2, j_top)
             mono = next(iter(polys[3].terms))
-            polys[3].terms[mono] += Fraction(1, 3)
+            # the stored row of that monomial gets +1/3
+            key, c, d = polys[3]._rows[0]
+            polys[3]._rows[0] = key, 3 * c + d, 3 * d
             # the first row where the tampered monomial is nonzero
             first = next(
                 n
