@@ -15,6 +15,7 @@ process pool is imported only when one starts, so serial runs never load
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -23,14 +24,7 @@ import numpy as np
 
 from .synth import evaluate_levels
 from .theta import _row_coeffs, theta0
-from .words import (
-    complement,
-    counting_factor_counts,
-    digit_sum,
-    enumerate_admissible,
-    expand,
-    factor_count,
-)
+from .words import digit_sum
 
 __all__ = [
     "ValuationTriple",
@@ -175,12 +169,14 @@ def _triple_chunk(p: int, n_lo: int, n_hi: int) -> tuple[int, int] | None:
 def _spread(fn, jobs: int, *iterables) -> list:
     """``list(map(fn, *iterables))``, on up to ``jobs`` forked workers.
 
-    No more workers than calls start, because the pool starts all of them
-    at once; at one worker or fewer nothing is forked.  Workers inherit what
-    the parent built before the call.
+    The pool starts all of its workers at once, so no more start than there
+    are calls or CPUs this process may use; at one worker or fewer nothing
+    is forked.  Workers inherit what the parent built before the call.
     """
     calls = list(zip(*iterables))
-    jobs = min(jobs, len(calls))
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    jobs = min(jobs, len(calls), cpus)
     if jobs <= 1:
         return [fn(*args) for args in calls]
     from concurrent.futures import ProcessPoolExecutor
@@ -253,17 +249,19 @@ def column_check(
 ) -> ColumnCheckReport:
     """Column densities of column t against the level-polynomial prediction.
 
-    The prediction for level j is the level polynomial evaluated at the
-    complemented factor counts of t, scaled by 2^{-s_2(t)}; the comparison is
-    against the sampled density over m < m_max.
+    The prediction for level j is P_j at the complemented factor counts of
+    t, X_w = |t|_{complement(w)}, times 2^{-s_2(t)}, against the sampled
+    density over m < m_max.  These X_w are the counts of t' = (2^(b + j_max)
+    - 1) XOR t, b = bitlen(t), for every admissible w of length <= j_max + 1:
+    below offset b a window of t' that long is the complement of t's window
+    padded with zeros, since t' has ones at bits b .. b + j_max - 1, and
+    from offset b up a window is all ones or leads with 0: not admissible.
     """
     hist = _column_histogram(t, m_max)
     base = Fraction(1, 2 ** digit_sum(t, 2))
-    counts = {
-        w: factor_count(t, complement(w)) for w in enumerate_admissible(2, j_max)
-    }
+    complemented = ((1 << (t.bit_length() + j_max)) - 1) ^ t
     rows = []
-    for j, value in enumerate(evaluate_levels(2, j_max, counts)):
+    for j, value in enumerate(evaluate_levels(2, j_max, complemented)):
         pred = float(value * base)
         count = int(hist[j]) if j < len(hist) else 0
         est = count / m_max
@@ -280,7 +278,7 @@ def column_scan(
     # one digit-sum table for the widest column, sliced by every t, and
     # P_0..P_jmax with their trie, built here for forked workers to inherit
     _digit_sum_table(m_max + t_max, 2)
-    evaluate_levels(2, j_max, {})
+    evaluate_levels(2, j_max, 0)
     return tuple(
         _spread(column_check, jobs, ts, repeat(j_max), repeat(m_max), repeat(tol))
     )
@@ -327,8 +325,7 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     j_top = max((len(c) - 1 for c in brute), default=0)
     for n in range(n_max):
         t0 = theta0(p, n)
-        counts = counting_factor_counts(expand(n, p))
-        for j, value in enumerate(evaluate_levels(p, j_top, counts)):
+        for j, value in enumerate(evaluate_levels(p, j_top, n)):
             want = brute[n][j] if j < len(brute[n]) else 0
             if value * t0 != want:
                 poly_bad = (n, j)

@@ -35,6 +35,7 @@ import functools
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -580,12 +581,12 @@ def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
 
 
 # ---------------------------------------------------------------------------
-# Sparse evaluation of P_0..P_J.
+# Sparse evaluation of P_0..P_J at a row n.
 #
 # At X_w = |n|_w every monomial with a word absent from n is zero, so the
 # levels are evaluated by walking a trie of the monomials that visits only
-# the words present.  It is made from the levels' rows: a node is a key; its
-# children are keyed by the id of the next factor word (ids in
+# the words present.  It is made from the rows of one build: a node is a
+# key; its children are keyed by the id of the next factor word (ids in
 # enumerate_admissible order, so a path's ids increase) and then by that
 # factor's exponent.  Each node holds its coefficient in every level where
 # it is nonzero, as an integer numerator over that level's lcm of reduced
@@ -604,34 +605,39 @@ class _Node:
 
 
 class _LevelIndex:
-    """The trie of P_0..P_J for ``evaluate_levels``; a level's word ids map
-    to ``enumerate_admissible(p, J)`` ids, the identity for the build."""
+    """The trie of one build of P_0..P_J, whose levels share one word table."""
 
     def __init__(self, polys: Sequence[BlockPolynomial]) -> None:
-        words = enumerate_admissible(polys[0].p, len(polys) - 1)
-        self.ids = ids = {w: i for i, w in enumerate(words)}
+        self.p = p = polys[0].p
+        self.ids = {(len(w), w.value): i for i, w in enumerate(polys[0]._words)}
+        self.windows = [(k, p**k) for k in range(2, len(polys) + 1)]
         self.dens: list[int] = []
         self.root = _Node()
-        table, remap = None, []
-        for j, poly in enumerate(polys):
-            if poly._words is not table:  # the build's levels share one table
-                table, remap = poly._words, [ids[w] for w in poly._words]
-            rows = poly._rows
+        for j, rows in enumerate(poly._rows for poly in polys):
             d = math.lcm(*(den // math.gcd(c, den) for _, c, den in rows))
             self.dens.append(d)
             for key, c, den in rows:
                 node = self.root
                 for i, k in key:
-                    row = node.children.setdefault(remap[i], [None])
+                    row = node.children.setdefault(i, [None])
                     row.extend([None] * (k + 1 - len(row)))
                     if row[k] is None:
                         row[k] = _Node()
                     node = row[k]
                 node.nums.append((j, c * d // den))
 
-    def evaluate(self, counts: dict[Word, int]) -> tuple[Fraction, ...]:
-        ids = self.ids
-        present = sorted((ids[w], c) for w, c in counts.items() if c and w in ids)
+    def counts(self, n: int) -> list[tuple[int, int]]:
+        """(id, |n|_w) for the table's words in n, ids rising, read off the
+        windows floor(n / p^i) mod p^k below n's top digit (higher ones are 0)."""
+        ids, counts = self.ids, Counter()
+        while n:
+            counts.update(ids.get((k, n % mod)) for k, mod in self.windows)
+            n //= self.p
+        del counts[None]  # the windows that spell no admissible word
+        return sorted(counts.items())
+
+    def evaluate(self, n: int) -> tuple[Fraction, ...]:
+        present = self.counts(n)
         acc = [0] * len(self.dens)
 
         def visit(node: _Node, start: int, value: int) -> None:
@@ -655,16 +661,13 @@ class _LevelIndex:
         return tuple(Fraction(a, d) for a, d in zip(acc, self.dens))
 
 
-def evaluate_levels(
-    p: int, jmax: int, counts: dict[Word, int]
-) -> tuple[Fraction, ...]:
-    """P_0 .. P_jmax at X_w = counts.get(w, 0), exactly, in one walk.
-
-    Equal to ``[P.evaluate_counts(counts) for P in
-    block_polynomials_up_to(p, jmax)]``, but only the monomials whose words
-    all have a nonzero count are visited, on the trie of the cached build.
-    """
-    return block_polynomials_up_to(p, jmax).trie.evaluate(counts)
+def evaluate_levels(p: int, jmax: int, n: int) -> tuple[Fraction, ...]:
+    """``[P.evaluate(n) for P in block_polynomials_up_to(p, jmax)]`` for a
+    row n >= 0, exactly, in one walk of the cached build's trie that visits
+    only the monomials whose words all occur in n."""
+    if n < 0:
+        raise ValueError("evaluate_levels needs a row n >= 0")
+    return block_polynomials_up_to(p, jmax).trie.evaluate(n)
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:

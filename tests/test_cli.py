@@ -653,6 +653,29 @@ class TestBuildsOnlyWhatItPrints:
             synth.block_polynomials_up_to.cache_clear()
         assert got == want and want[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--p", "2", "--nmax", "64"),
+            ("columns", "--tmax", "8", "--jmax", "4", "--mmax", "4096"),
+        ],
+    )
+    def test_rows_are_counted_without_words(self, cli, monkeypatch, argv):
+        # P_j is evaluated at a row index, so no Word count dict is made
+        synth.block_polynomials_up_to.cache_clear()
+        want = cli(*argv)
+        synth.block_polynomials_up_to.cache_clear()
+        for name, module in list(sys.modules.items()):
+            if name == "ppk" or name.startswith("ppk."):
+                for fn in ("counting_factor_counts", "factor_count", "complement"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, Refuse(fn))
+        try:
+            got = cli(*argv)
+        finally:
+            synth.block_polynomials_up_to.cache_clear()
+        assert got == want and want[0] == 0
+
 
 class TestClosedPipe:
     # the reader takes one line and closes the pipe, as `| head -1` does;

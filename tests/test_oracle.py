@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from ppk.oracle import (
     valuation,
     valuation_by_factorization,
 )
-from ppk.synth import block_polynomials_up_to, evaluate_levels
+from ppk.synth import block_polynomials_up_to
 from ppk.theta import T_poly
 from ppk.words import (
     complement,
@@ -187,11 +188,12 @@ class TestColumns:
         m_max = 1 << 18
         words = enumerate_admissible(2, 4)
         reports = column_scan(64, 4, m_max)
+        polys = block_polynomials_up_to(2, 4)
         compared = 0
         for t, rep in enumerate(reports):
             counts = {w: factor_count(t, complement(w)) for w in words}
             base = Fraction(1, 2 ** digit_sum(t, 2))
-            exact = evaluate_levels(2, 4, counts)
+            exact = [poly.evaluate_counts(counts) for poly in polys]
             for row in rep.rows:
                 assert Fraction(row.count, m_max) == exact[row.j] * base, (t, row)
                 compared += 1
@@ -304,15 +306,14 @@ class TestCounterexamples:
         # both checks run, and each reports its own counterexample
         row_coeffs = oracle._row_coeffs
         levels = oracle.evaluate_levels
-        row_7 = counting_factor_counts(expand(7, 3))
 
         def tampered_rows(p, n):
             row = row_coeffs(p, n)
             return row if n != 5 else row[:-1] + [row[-1] + 1]
 
-        def tampered_levels(p, j_max, counts):
-            values = levels(p, j_max, counts)
-            if counts != row_7:
+        def tampered_levels(p, j_max, n):
+            values = levels(p, j_max, n)
+            if n != 7:
                 return values
             return values[:1] + (values[1] + 1,) + values[2:]
 
@@ -354,6 +355,8 @@ class TestWorkerCap:
         monkeypatch.setattr(RecordingPool, "seen", seen, raising=False)
         # _spread imports the pool from concurrent.futures when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # 64 usable CPUs, so that the cap on calls is what these tests see
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         return seen
 
     def test_triple_scan_no_more_workers_than_rows(self, pools):
@@ -371,3 +374,20 @@ class TestWorkerCap:
     def test_verify_caps_the_triple_scan(self, pools):
         assert equivalence_report(3, 5, jobs=64).ok
         assert pools == [5]
+
+    def test_no_more_workers_than_usable_cpus(self, pools, monkeypatch):
+        # the pool is never started for real: RecordingPool maps in-process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
+        assert triple_agreement_scan(2, 100, jobs=5000) == (True, None)
+        assert equivalence_report(2, 100, jobs=5000) == equivalence_report(2, 100)
+        assert pools == [3, 3, 3]
+
+    def test_cpu_count_without_affinity(self, pools, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
+        # an unknown CPU count runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
+        assert pools == [4]

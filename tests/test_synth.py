@@ -593,63 +593,93 @@ class TestEvaluateLevels:
     def test_rows_match_dense(self, p, jmax, rows):
         for n in rows:
             counts = counting_factor_counts(expand(n, p))
-            assert evaluate_levels(p, jmax, counts) == dense_levels(
-                p, jmax, counts
-            ), n
+            assert evaluate_levels(p, jmax, n) == dense_levels(p, jmax, counts), n
 
     def test_column_counts_with_zeros_match_dense(self):
+        # column t is evaluated at its complemented row (see column_check)
         words = enumerate_admissible(2, 4)
         zeros = 0
         for t in range(65):
             counts = {w: factor_count(t, complement(w)) for w in words}
             zeros += sum(c == 0 for c in counts.values())
-            assert evaluate_levels(2, 4, counts) == dense_levels(2, 4, counts), t
+            row = ((1 << (t.bit_length() + 4)) - 1) ^ t
+            assert evaluate_levels(2, 4, row) == dense_levels(2, 4, counts), t
         assert zeros
+
+    def test_complemented_row_counts(self):
+        # the counts of t' = (2^(bitlen(t) + J) - 1) XOR t on the level-J
+        # words are the counts of their complements in t
+        # (enumerate_admissible(2, J) is a prefix of enumerate_admissible(2, 8))
+        flipped = [complement(w) for w in enumerate_admissible(2, 8)]
+        wants = [[factor_count(t, v) for v in flipped] for t in range(1025)]
+        for jmax in range(9):
+            index = block_polynomials_up_to(2, jmax).trie
+            size = len(enumerate_admissible(2, jmax))
+            for t, want in enumerate(wants):
+                row = ((1 << (t.bit_length() + jmax)) - 1) ^ t
+                got = index.counts(row)
+                assert got == [(i, c) for i, c in enumerate(want[:size]) if c], (
+                    t,
+                    jmax,
+                )
+
+    def test_negative_row_is_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_levels(2, 3, -1)
 
     def test_index_keeps_only_the_last_build(self):
         block_polynomials_up_to.cache_clear()
-        evaluate_levels(2, 3, {})
+        evaluate_levels(2, 3, 0)
         ref = weakref.ref(block_polynomials_up_to(2, 3)[0])
-        evaluate_levels(2, 4, {})
+        evaluate_levels(2, 4, 0)
         block_polynomials_up_to.cache_clear()
         gc.collect()
         assert ref() is None
 
     def test_next_build_frees_the_last(self):
         block_polynomials_up_to.cache_clear()
-        evaluate_levels(2, 8, {})
+        evaluate_levels(2, 8, 0)
         polys = block_polynomials_up_to(2, 8)
         refs = [weakref.ref(polys[0]), weakref.ref(polys.trie)]
         del polys
-        evaluate_levels(3, 4, {})
+        evaluate_levels(3, 4, 0)
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
         assert block_polynomials_up_to.cache_info().currsize == 1
 
     def test_empty_counts_leave_the_constant(self):
-        assert evaluate_levels(2, 3, {}) == (1, 0, 0, 0)
+        # rows 0 and 1 hold no admissible word
+        assert evaluate_levels(2, 3, 0) == evaluate_levels(2, 3, 1) == (1, 0, 0, 0)
 
     def test_exponent_gap(self):
-        # X_w and X_w^3 without X_w^2: the trie must not stop at the gap
+        # X_w and X_w^3 without X_w^2: the trie must not stop at the gap;
+        # the levels share one table, as a build's do (w has id 0, v id 1)
         w, v = W("10"), W("100")
+        words = enumerate_admissible(2, 2)
+        assert words[:2] == [w, v]
         polys = (
-            BlockPolynomial(2, 0, {Monomial(()): Fraction(1)}),
-            BlockPolynomial(
+            BlockPolynomial._stored(2, 0, words, [((), 1, 1)]),
+            BlockPolynomial._stored(
                 2,
                 1,
-                {
-                    Monomial.of([(w, 1)]): Fraction(1, 2),
-                    Monomial.of([(w, 3)]): Fraction(-1, 3),
-                    Monomial.of([(w, 3), (v, 2)]): Fraction(5, 7),
-                },
+                words,
+                [(((0, 1),), 1, 2), (((0, 3),), -1, 3), (((0, 3), (1, 2)), 5, 7)],
             ),
-            BlockPolynomial(2, 2, {Monomial.of([(w, 3)]): Fraction(3, 4)}),
+            BlockPolynomial._stored(2, 2, words, [(((0, 3),), 3, 4)]),
         )
+        assert polys[1].terms == {
+            Monomial.of([(w, 1)]): Fraction(1, 2),
+            Monomial.of([(w, 3)]): Fraction(-1, 3),
+            Monomial.of([(w, 3), (v, 2)]): Fraction(5, 7),
+        }
         index = _LevelIndex(polys)
-        for counts in ({}, {w: 2}, {w: 3, v: 1}, {v: 4}, {w: 0, v: 2}):
+        # 0b1010100 has |n|_10 = 3 and |n|_100 = 1, 0b100100 has 2 and 2
+        for n in range(256):
+            counts = counting_factor_counts(expand(n, 2))
             want = tuple(poly.evaluate_counts(counts) for poly in polys)
-            assert index.evaluate(counts) == want, counts
-        assert index.evaluate({w: 2, v: 1}) == (
+            assert index.evaluate(n) == want, n
+        # 0b10100 has |n|_10 = 2 and |n|_100 = 1
+        assert index.evaluate(0b10100) == (
             1,
             Fraction(1) - Fraction(8, 3) + Fraction(40, 7),
             Fraction(6),
