@@ -18,11 +18,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
-from .synth import evaluate_levels
+from .synth import _peel, block_polynomials_up_to, evaluate_levels
 from .theta import _row_coeffs, theta0
 from .words import digit_sum
 
@@ -275,8 +275,8 @@ def column_scan(
 ) -> tuple[ColumnCheckReport, ...]:
     """column_check for every t <= t_max."""
     ts = range(t_max + 1)
-    # one digit-sum table for the widest column, sliced by every t, and
-    # P_0..P_jmax with their trie, built here for forked workers to inherit
+    # one digit-sum table for the widest column, sliced by every t, and the
+    # log r_w table behind P_0..P_jmax, built here for forked workers to inherit
     _digit_sum_table(m_max + t_max, 2)
     evaluate_levels(2, j_max, 0)
     return tuple(
@@ -286,7 +286,11 @@ def column_scan(
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Cross-validation of recurrence, synthesis, and brute force for one p."""
+    """Cross-validation of recurrence, synthesis, and brute force for one p.
+
+    ``poly_ok``: the stored rows of P_0..P_J pass the peel, and the
+    generating function gives every brute row histogram below n_max.
+    """
 
     p: int
     n_max: int
@@ -308,9 +312,12 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     Three layers: the valuation routes agree pairwise, the brute-force row
     histogram equals the row polynomial coefficients, and the synthesized
     level polynomials reproduce the histogram through theta_0 scaling.
+    The last compares the generating function (``evaluate_levels``) with
+    each histogram, and peels the stored rows that ``poly`` prints against
+    it, so that monomials whose words occur in no row below n_max count too.
     """
     # one digit-sum table for the widest row, before forked workers start;
-    # the cached build of P_0..P_J and its trie are made after them, here
+    # the log r_w table and the build of P_0..P_J are made after them, here
     _digit_sum_table(n_max, p)
     triple_ok, triple_bad = triple_agreement_scan(p, n_max, jobs)
 
@@ -332,6 +339,17 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
                 break
         if poly_bad:
             break
+    polys = block_polynomials_up_to(p, j_top)
+    if poly_bad is None and _peel(polys):
+        # the least row, and level, where the stored rows evaluated densely
+        # leave the generating function; by the uniqueness of P_j one
+        # exists when the rows spell each monomial once, as a build's do
+        poly_bad = next(
+            (n, j)
+            for n in count()
+            for j, value in enumerate(evaluate_levels(p, j_top, n))
+            if polys[j].evaluate(n) != value
+        )
 
     return VerifyReport(
         p,

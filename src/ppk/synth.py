@@ -24,8 +24,10 @@ on integer numerators over one denominator per series.
 The build runs on integer word ids in ``enumerate_admissible`` order: a
 monomial is a tuple of (id, exponent) pairs, and each level stores its
 coefficients as integer numerators and denominators, its only store.
-Printing, summing and evaluating levels read those rows; a ``Monomial`` and
-a ``Fraction`` are made only where the public API reads ``terms``.
+Printing, summing and the peel check read those rows; a ``Monomial`` and a
+``Fraction`` are made only where the public API reads ``terms``.  P_0..P_J
+at a row come from the generating function exp(sum_w |n|_w log r_w), which
+reads no row.
 """
 
 from __future__ import annotations
@@ -409,7 +411,7 @@ class BlockPolynomial:
     and no ``Fraction``; ``BlockPolynomial(p, j, terms)`` turns a dict into
     rows over a table of its own words in ``Word.sort_key`` order.
     ``terms`` is a read-only view made from the rows on its first read;
-    ``json_obj``, ``evaluate_counts`` and ``__eq__`` read it.
+    ``json_obj`` and ``__eq__`` read it.
     """
 
     def __init__(self, p: int, j: int, terms: dict[Monomial, Fraction]) -> None:
@@ -519,18 +521,19 @@ class BlockPolynomial:
         }
 
     def evaluate_counts(self, counts: dict[Word, int]) -> Fraction:
-        """Substitute X_w = counts.get(w, 0) and evaluate exactly."""
+        """Substitute X_w = counts.get(w, 0) and evaluate exactly, term by
+        term over the stored rows."""
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for key, c, d in self._rows:
             prod = 1
-            for w, k in mono.factors:
-                c = counts.get(w, 0)
-                if not c:
+            for i, k in key:
+                x = counts.get(self._words[i], 0)
+                if not x:
                     prod = 0
                     break
-                prod *= c**k
+                prod *= x**k
             if prod:
-                total += coeff * prod
+                total += Fraction(c * prod, d)
         return total
 
     def evaluate(self, n: int) -> Fraction:
@@ -538,136 +541,159 @@ class BlockPolynomial:
         return self.evaluate_counts(counting_factor_counts(expand(n, self.p)))
 
 
-class _Levels(tuple):
-    """P_0..P_J as built, with the trie for ``evaluate_levels`` made from
-    their rows on first use.  No ``__slots__``: ``cached_property`` keeps
-    the trie in the instance dict, so it lives and dies with the build."""
-
-    @functools.cached_property
-    def trie(self) -> _LevelIndex:
-        return _LevelIndex(self)
-
-
 @functools.lru_cache(maxsize=1)
-def block_polynomials_up_to(p: int, jmax: int) -> _Levels:
+def block_polynomials_up_to(p: int, jmax: int) -> tuple[BlockPolynomial, ...]:
     """Build P_0 .. P_jmax in one shared pass over the monomial tree.
 
-    The cache keeps the last build, and its trie with it; asking for another
-    (p, jmax) frees both.  The tree walk reuses the partial
-    coefficient-series product of each monomial prefix, so every monomial
-    costs one truncated product of integer offset series, from its weight
-    up to x^jmax; at weight jmax that is one product of leading
-    coefficients.  The walk gives the monomials in canonical order as
-    (word id, exponent) keys, so every level stores its nonzero
-    coefficients in that order as (key, numerator, denominator) rows over
-    the table ``enumerate_admissible(p, jmax)``; no ``Monomial`` or
-    ``Fraction`` is made until a level's ``terms`` is read.
+    The cache keeps the last build; asking for another (p, jmax) frees it.
+    The tree walk reuses the partial coefficient-series product of each
+    monomial prefix, so every monomial costs one truncated product of
+    integer offset series, from its weight up to x^jmax; at weight jmax
+    that is one product of leading coefficients.  The walk gives the
+    monomials in canonical order as (word id, exponent) keys, so every
+    level stores its nonzero coefficients in that order as (key, numerator,
+    denominator) rows over the table ``enumerate_admissible(p, jmax)``; no
+    ``Monomial`` or ``Fraction`` is made until a level's ``terms`` is read.
     """
-    words = enumerate_admissible(p, jmax)
-    logs = [_log_rw(w, jmax) for w in words]
+    if jmax < 0:
+        raise ValueError("level must be >= 0")
+    index = _level_index(p, jmax)
+    words, logs = index.words, index.logs
     rows: list[list[_Row]] = [[] for _ in range(jmax + 1)]
     root: _Offset = (0, 1, [1])
     walk = _monomial_tree(
-        _weights(words), jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
+        index.wts, jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
     )
     for key, (low, d, nums) in walk:
         for j, c in enumerate(nums, low):
             if c:
                 rows[j].append((key, c, d))
-    return _Levels(
-        BlockPolynomial._stored(p, j, words, level)
-        for j, level in enumerate(rows)
+    return tuple(
+        BlockPolynomial._stored(p, j, words, level) for j, level in enumerate(rows)
     )
 
 
 # ---------------------------------------------------------------------------
-# Sparse evaluation of P_0..P_J at a row n.
+# Evaluation of P_0..P_J at a row n by the generating function.
 #
-# At X_w = |n|_w every monomial with a word absent from n is zero, so the
-# levels are evaluated by walking a trie of the monomials that visits only
-# the words present.  It is made from the rows of one build: a node is a
-# key; its children are keyed by the id of the next factor word (ids in
-# enumerate_admissible order, so a path's ids increase) and then by that
-# factor's exponent.  Each node holds its coefficient in every level where
-# it is nonzero, as an integer numerator over that level's lcm of reduced
-# denominators, so the trie makes no Monomial and the walk adds integers.
+# Summed over all monomials, the coefficient series prod (log r_w)^k / k!
+# give sum_j P_j(n) x^j = exp(s) mod x^(J+1), s = sum_w |n|_w log r_w, so
+# no monomial is walked and ``_peel`` checks the stored rows instead.  With
+# every log r_w over one denominator D, s = S / D for integers S_i, S_0 = 0.
+# P = exp(s) solves k P_k = sum_{i=1..k} i s_i P_{k-i}; writing P_k =
+# A_k / (D^k k!) and multiplying through by D^k (k-1)! leaves integers:
+#
+#     A_0 = 1,  A_k = sum_{i=1..k} i S_i A_{k-i} D^(i-1) (k-1)! / (k-i)!.
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    __slots__ = ("nums", "children")
-
-    def __init__(self) -> None:
-        # (level, numerator) for each level where the monomial occurs
-        self.nums: list[tuple[int, int]] = []
-        # word id -> list indexed by exponent, None where it is absent
-        self.children: dict[int, list[_Node | None]] = {}
-
-
 class _LevelIndex:
-    """The trie of one build of P_0..P_J, whose levels share one word table."""
+    """The word table and the log r_w series of one (p, J), shared by the
+    build, the generating function and the peel."""
 
-    def __init__(self, polys: Sequence[BlockPolynomial]) -> None:
-        self.p = p = polys[0].p
-        self.ids = {(len(w), w.value): i for i, w in enumerate(polys[0]._words)}
-        self.windows = [(k, p**k) for k in range(2, len(polys) + 1)]
-        self.dens: list[int] = []
-        self.root = _Node()
-        for j, rows in enumerate(poly._rows for poly in polys):
-            d = math.lcm(*(den // math.gcd(c, den) for _, c, den in rows))
-            self.dens.append(d)
-            for key, c, den in rows:
-                node = self.root
-                for i, k in key:
-                    row = node.children.setdefault(i, [None])
-                    row.extend([None] * (k + 1 - len(row)))
-                    if row[k] is None:
-                        row[k] = _Node()
-                    node = row[k]
-                node.nums.append((j, c * d // den))
+    def __init__(self, p: int, jmax: int) -> None:
+        self.p = p
+        self.words = words = enumerate_admissible(p, jmax)
+        self.wts = _weights(words)
+        self.ids = {(len(w), w.value): i for i, w in enumerate(words)}
+        self.windows = [(k, p**k) for k in range(2, jmax + 2)]
+        self.logs = [_log_rw(w, jmax) for w in words]
+        den = math.lcm(*(d for _, d, _ in self.logs))
+        # D log r_w as offset integers
+        self.scaled = [
+            (low, [c * (den // d) for c in nums]) for low, d, nums in self.logs
+        ]
+        # weights[k - 1][i - 1] = i D^(i-1) (k-1)! / (k-i)!; P_k = A_k / dens[k]
+        self.weights = [
+            [i * den ** (i - 1) * math.perm(k - 1, i - 1) for i in range(1, k + 1)]
+            for k in range(1, jmax + 1)
+        ]
+        self.dens = [den**k * math.factorial(k) for k in range(jmax + 1)]
 
     def counts(self, n: int) -> list[tuple[int, int]]:
         """(id, |n|_w) for the table's words in n, ids rising, read off the
-        windows floor(n / p^i) mod p^k below n's top digit (higher ones are 0)."""
-        ids, counts = self.ids, Counter()
+        windows floor(n / p^i) mod p^k that fit below n's top digit; a
+        longer one leads with 0 and spells no admissible word."""
+        p, ids, counts = self.p, self.ids, Counter()
         while n:
-            counts.update(ids.get((k, n % mod)) for k, mod in self.windows)
-            n //= self.p
+            top = n * p
+            for k, mod in self.windows:
+                if mod > top:
+                    break
+                counts[ids.get((k, n % mod))] += 1
+            n //= p
         del counts[None]  # the windows that spell no admissible word
         return sorted(counts.items())
 
     def evaluate(self, n: int) -> tuple[Fraction, ...]:
-        present = self.counts(n)
-        acc = [0] * len(self.dens)
+        s = [0] * len(self.dens)
+        for i, c in self.counts(n):
+            low, nums = self.scaled[i]
+            for j, x in enumerate(nums, low):
+                s[j] += c * x
+        a = [1]
+        for k, weights in enumerate(self.weights, 1):
+            a.append(sum(x * s[i] * a[k - i] for i, x in enumerate(weights, 1)))
+        return tuple(Fraction(x, d) for x, d in zip(a, self.dens))
 
-        def visit(node: _Node, start: int, value: int) -> None:
-            for j, x in node.nums:
-                acc[j] += value * x
-            children = node.children
-            if not children:
-                return
-            for i in range(start, len(present)):
-                wid, c = present[i]
-                row = children.get(wid)
-                if row is None:
-                    continue
-                v = value
-                for child in row[1:]:
-                    v *= c
-                    if child is not None:
-                        visit(child, i + 1, v)
 
-        visit(self.root, 0, 1)
-        return tuple(Fraction(a, d) for a, d in zip(acc, self.dens))
+@functools.lru_cache(maxsize=1)
+def _level_index(p: int, jmax: int) -> _LevelIndex:
+    """The index of the last (p, J) asked for; asking for another frees it."""
+    return _LevelIndex(p, jmax)
 
 
 def evaluate_levels(p: int, jmax: int, n: int) -> tuple[Fraction, ...]:
-    """``[P.evaluate(n) for P in block_polynomials_up_to(p, jmax)]`` for a
-    row n >= 0, exactly, in one walk of the cached build's trie that visits
-    only the monomials whose words all occur in n."""
-    if n < 0:
-        raise ValueError("evaluate_levels needs a row n >= 0")
-    return block_polynomials_up_to(p, jmax).trie.evaluate(n)
+    """P_0..P_jmax at X_w = |n|_w for a row n >= 0, exactly, from the
+    generating function; equal to ``[P.evaluate(n) for P in
+    block_polynomials_up_to(p, jmax)]`` when that build passes ``_peel``."""
+    if jmax < 0 or n < 0:
+        raise ValueError("evaluate_levels needs a level and a row >= 0")
+    return _level_index(p, jmax).evaluate(n)
+
+
+def _peel(polys: Sequence[BlockPolynomial]) -> list[_Key]:
+    """The stored keys of a build of P_0..P_J that the generating function
+    does not give: failing monomials in walk order, then keys no walk reaches.
+
+    The series of a monomial m with first factor (i, k) is that of m / X_i
+    times log r_i / k, and the constant's is 1; by induction on the weight,
+    every monomial passes this check against the stored m / X_i exactly when
+    the stored rows are the generating function's.  The build appends the
+    last factor and the peel removes the first, so their products differ.
+    """
+    jmax = len(polys) - 1
+    index = _level_index(polys[0].p, jmax)
+    rows: dict[_Key, list[tuple[int, int, int]]] = {}
+    for j, poly in enumerate(polys):
+        for key, c, d in poly._rows:
+            rows.setdefault(key, []).append((j, c, d))
+
+    def stored(key: _Key) -> _Offset:
+        # from the lowest stored level up: a lowest level other than the
+        # key's weight fails the compare
+        entries = rows.get(key)
+        if not entries:
+            return 0, 1, []
+        low, den = entries[0][0], math.lcm(*(d for _, _, d in entries))
+        nums = [0] * (jmax + 1 - low)
+        for j, c, d in entries:
+            nums[j - low] += c * (den // d)
+        return _reduced(low, den, nums)
+
+    bad: list[_Key] = []
+    unreached = dict.fromkeys(rows)
+    for key, _ in _monomial_tree(index.wts, jmax):
+        unreached.pop(key, None)
+        want: _Offset = (0, 1, [1])
+        if key:
+            (i, k), rest = key[0], key[1:]
+            base = stored(((i, k - 1), *rest) if k > 1 else rest)
+            want = _times(base, index.logs[i], k, jmax)
+        got = stored(key)
+        if got != want and (got[2] or want[2]):  # zero at any offset is zero
+            bad.append(key)
+    return bad + list(unreached)
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:

@@ -641,11 +641,14 @@ class TestBuildsOnlyWhatItPrints:
             ("columns", "--tmax", "8", "--jmax", "4", "--mmax", "4096"),
         ],
     )
-    def test_trie_makes_no_monomial(self, cli, monkeypatch, argv):
-        # the trie behind verify and columns is made from the stored rows
+    def test_verify_and_columns_make_no_monomial(self, cli, monkeypatch, argv):
+        # the generating function reads the log r_w table, and the peel the
+        # stored rows, so neither makes a Monomial when the check passes
         synth.block_polynomials_up_to.cache_clear()
+        synth._level_index.cache_clear()
         want = cli(*argv)
         synth.block_polynomials_up_to.cache_clear()
+        synth._level_index.cache_clear()
         monkeypatch.setattr(synth, "Monomial", Refuse("Monomial"))
         try:
             got = cli(*argv)

@@ -22,9 +22,10 @@ from ppk.oracle import (
     valuation,
     valuation_by_factorization,
 )
-from ppk.synth import block_polynomials_up_to
+from ppk.synth import _level_index, block_polynomials_up_to
 from ppk.theta import T_poly
 from ppk.words import (
+    Word,
     complement,
     counting_factor_counts,
     digit_sum,
@@ -172,9 +173,12 @@ class TestColumns:
         assert rep.ok and rep.max_deviation == 0.0
 
     def test_one_build(self):
+        # columns reads the log r_w table, built once, and builds no P_j
         block_polynomials_up_to.cache_clear()
+        _level_index.cache_clear()
         column_check(5, 4, 64)
-        assert block_polynomials_up_to.cache_info().misses == 1
+        assert _level_index.cache_info().misses == 1
+        assert block_polynomials_up_to.cache_info().misses == 0
 
     def test_small_scan(self):
         reports = column_scan(8, 3, 1 << 14)
@@ -248,6 +252,53 @@ class TestEquivalence:
         assert not rep.poly_ok and not rep.ok
         assert rep.poly_counterexample == (first, 3)
         assert equivalence_report(2, n_max).ok
+
+    @staticmethod
+    def tampered_report(n_max, tamper):
+        # the report with the cached build of P_0..P_J changed by tamper
+        j_top = max(len(row_counts_bruteforce(2, n)) - 1 for n in range(n_max))
+        block_polynomials_up_to.cache_clear()
+        try:
+            tamper(block_polynomials_up_to(2, j_top))
+            rep = equivalence_report(2, n_max)
+        finally:
+            block_polynomials_up_to.cache_clear()
+        assert rep.triple_ok and rep.rows_ok
+        assert not rep.poly_ok and not rep.ok
+        return rep
+
+    @staticmethod
+    def key_of(polys, word, k=1):
+        return ((polys[0]._words.index(Word.parse(word, 2)), k),)
+
+    def test_dropped_row_is_caught(self):
+        # X[100] loses its P_2 row; row 4 = 100_2 is the first to hold it
+        def tamper(polys):
+            key = self.key_of(polys, "100")
+            polys[2]._rows[:] = [row for row in polys[2]._rows if row[0] != key]
+
+        assert self.tampered_report(64, tamper).poly_counterexample == (4, 2)
+
+    def test_key_outside_the_walk_is_caught(self):
+        # X[10]^4 has weight 4 > J = 3; row 2 = 10_2 is the first to hold 10
+        def tamper(polys):
+            assert len(polys) == 4
+            polys[3]._rows.append((self.key_of(polys, "10", 4), 1, 1))
+
+        assert self.tampered_report(16, tamper).poly_counterexample == (2, 3)
+
+    def test_fault_invisible_below_n_max_is_caught(self):
+        # J = 3 for n_max = 10, but 1110_2 = 14 is the first row to hold
+        # the word 1110, so no row below n_max shows +1/3 on X[1110] in P_3
+        def tamper(polys):
+            assert len(polys) == 4
+            key = self.key_of(polys, "1110")
+            rows = polys[3]._rows
+            i = next(i for i, row in enumerate(rows) if row[0] == key)
+            _, c, d = rows[i]
+            rows[i] = key, 3 * c + d, 3 * d
+
+        assert self.tampered_report(10, tamper).poly_counterexample == (14, 3)
 
 
 class TestCounterexamples:

@@ -22,9 +22,10 @@ from ppk.synth import (
     alpha_coefficient,
     block_polynomial,
     block_polynomials_up_to,
-    _LevelIndex,
+    _level_index,
     _log_rw,
     _mul,
+    _peel,
     _reduced,
     _rw_parts,
     cumulative_polynomial,
@@ -613,7 +614,7 @@ class TestEvaluateLevels:
         flipped = [complement(w) for w in enumerate_admissible(2, 8)]
         wants = [[factor_count(t, v) for v in flipped] for t in range(1025)]
         for jmax in range(9):
-            index = block_polynomials_up_to(2, jmax).trie
+            index = _level_index(2, jmax)
             size = len(enumerate_admissible(2, jmax))
             for t, want in enumerate(wants):
                 row = ((1 << (t.bit_length() + jmax)) - 1) ^ t
@@ -627,6 +628,12 @@ class TestEvaluateLevels:
         with pytest.raises(ValueError):
             evaluate_levels(2, 3, -1)
 
+    def test_negative_level_is_rejected(self):
+        with pytest.raises(ValueError):
+            block_polynomials_up_to(2, -1)
+        with pytest.raises(ValueError):
+            evaluate_levels(2, -1, 5)
+
     def test_index_keeps_only_the_last_build(self):
         block_polynomials_up_to.cache_clear()
         evaluate_levels(2, 3, 0)
@@ -637,23 +644,26 @@ class TestEvaluateLevels:
         assert ref() is None
 
     def test_next_build_frees_the_last(self):
+        # the build and the log r_w table are each freed with the next (p, J)
         block_polynomials_up_to.cache_clear()
         evaluate_levels(2, 8, 0)
         polys = block_polynomials_up_to(2, 8)
-        refs = [weakref.ref(polys[0]), weakref.ref(polys.trie)]
+        refs = [weakref.ref(polys[0]), weakref.ref(_level_index(2, 8))]
         del polys
         evaluate_levels(3, 4, 0)
+        block_polynomials_up_to(3, 4)
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
         assert block_polynomials_up_to.cache_info().currsize == 1
+        assert _level_index.cache_info().currsize == 1
 
     def test_empty_counts_leave_the_constant(self):
         # rows 0 and 1 hold no admissible word
         assert evaluate_levels(2, 3, 0) == evaluate_levels(2, 3, 1) == (1, 0, 0, 0)
 
     def test_exponent_gap(self):
-        # X_w and X_w^3 without X_w^2: the trie must not stop at the gap;
-        # the levels share one table, as a build's do (w has id 0, v id 1)
+        # X_w and X_w^3 without X_w^2: the peel must not pass the gap; the
+        # levels share one table, as a build's do (w has id 0, v id 1)
         w, v = W("10"), W("100")
         words = enumerate_admissible(2, 2)
         assert words[:2] == [w, v]
@@ -672,18 +682,55 @@ class TestEvaluateLevels:
             Monomial.of([(w, 3)]): Fraction(-1, 3),
             Monomial.of([(w, 3), (v, 2)]): Fraction(5, 7),
         }
-        index = _LevelIndex(polys)
-        # 0b1010100 has |n|_10 = 3 and |n|_100 = 1, 0b100100 has 2 and 2
-        for n in range(256):
-            counts = counting_factor_counts(expand(n, 2))
-            want = tuple(poly.evaluate_counts(counts) for poly in polys)
-            assert index.evaluate(n) == want, n
+        # X_w lacks its level-2 term and X_w^2, X_v, X_110 are missing;
+        # the gap keys lie above weight 2, where no walk reaches
+        assert _peel(polys) == [
+            ((0, 1),),
+            ((0, 2),),
+            ((1, 1),),
+            ((2, 1),),
+            ((0, 3),),
+            ((0, 3), (1, 2)),
+        ]
+        # the dense reference, which reports a failed peel, takes the gap:
         # 0b10100 has |n|_10 = 2 and |n|_100 = 1
-        assert index.evaluate(0b10100) == (
+        assert tuple(poly.evaluate(0b10100) for poly in polys) == (
             1,
             Fraction(1) - Fraction(8, 3) + Fraction(40, 7),
             Fraction(6),
         )
+
+
+class TestPeel:
+    @pytest.mark.parametrize("p, jmax", [(2, 8), (3, 5), (5, 3), (7, 3)])
+    def test_build_passes(self, p, jmax):
+        assert _peel(block_polynomials_up_to(p, jmax)) == []
+
+    def test_tampered_row_flags_it_and_its_square(self):
+        # +1/3 on P_3's first stored row, X[10]: only X[10]^2 is peeled onto
+        # X[10] (X[10]^3 onto X[10]^2, X[10] X[100] onto X[100]), and at
+        # J = 4 its x^4 term reads X[10]'s x^3 term
+        block_polynomials_up_to.cache_clear()
+        try:
+            polys = block_polynomials_up_to(2, 4)
+            key, c, d = polys[3]._rows[0]
+            assert key == ((0, 1),)
+            polys[3]._rows[0] = key, 3 * c + d, 3 * d
+            assert _peel(polys) == [((0, 1),), ((0, 2),)]
+        finally:
+            block_polynomials_up_to.cache_clear()
+
+    def test_level_below_the_weight_is_flagged(self):
+        # X[100] has weight 2, so a P_1 row for it fails, and so does
+        # X[10] X[100], which is peeled onto it
+        block_polynomials_up_to.cache_clear()
+        try:
+            polys = block_polynomials_up_to(2, 3)
+            assert polys[0]._words[1] == W("100")
+            polys[1]._rows.append((((1, 1),), 1, 1))
+            assert _peel(polys) == [((1, 1),), ((0, 1), (1, 1))]
+        finally:
+            block_polynomials_up_to.cache_clear()
 
 
 class TestCumulative:
