@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
 
 import numpy as np
 
-from .synth import _peel, block_polynomials_up_to, evaluate_levels
+from .synth import _level_index, _peel, _peeled, block_polynomials_up_to
 from .theta import _row_coeffs, theta0
 from .words import digit_sum
 
@@ -258,11 +259,13 @@ def column_check(
     from offset b up a window is all ones or leads with 0: not admissible.
     """
     hist = _column_histogram(t, m_max)
-    base = Fraction(1, 2 ** digit_sum(t, 2))
+    shift = digit_sum(t, 2)
     complemented = ((1 << (t.bit_length() + j_max)) - 1) ^ t
+    index = _level_index(2, j_max)
     rows = []
-    for j, value in enumerate(evaluate_levels(2, j_max, complemented)):
-        pred = float(value * base)
+    for j, (a, d) in enumerate(zip(index.evaluate(complemented), index.dens)):
+        # int true division is correctly rounded, as float(Fraction) is
+        pred = a / (d << shift)
         count = int(hist[j]) if j < len(hist) else 0
         est = count / m_max
         rows.append(ColumnCheckRow(j, count, est, pred, abs(est - pred)))
@@ -278,7 +281,7 @@ def column_scan(
     # one digit-sum table for the widest column, sliced by every t, and the
     # log r_w table behind P_0..P_jmax, built here for forked workers to inherit
     _digit_sum_table(m_max + t_max, 2)
-    evaluate_levels(2, j_max, 0)
+    _level_index(2, j_max)
     return tuple(
         _spread(column_check, jobs, ts, repeat(j_max), repeat(m_max), repeat(tol))
     )
@@ -288,8 +291,8 @@ def column_scan(
 class VerifyReport:
     """Cross-validation of recurrence, synthesis, and brute force for one p.
 
-    ``poly_ok``: the stored rows of P_0..P_J pass the peel, and the
-    generating function gives every brute row histogram below n_max.
+    ``poly_ok``: the generating function gives every brute row histogram
+    below n_max, and the stored rows of P_0..P_J are its rebuilt ones.
     """
 
     p: int
@@ -312,9 +315,10 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     Three layers: the valuation routes agree pairwise, the brute-force row
     histogram equals the row polynomial coefficients, and the synthesized
     level polynomials reproduce the histogram through theta_0 scaling.
-    The last compares the generating function (``evaluate_levels``) with
-    each histogram, and peels the stored rows that ``poly`` prints against
-    it, so that monomials whose words occur in no row below n_max count too.
+    The last compares the generating function with each histogram on
+    integers, and the stored rows that ``poly`` prints with their rebuild
+    (``_peel``), so that monomials whose words occur in no row below n_max
+    count too.
     """
     # one digit-sum table for the widest row, before forked workers start;
     # the log r_w table and the build of P_0..P_J are made after them, here
@@ -330,26 +334,18 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
 
     poly_bad = None
     j_top = max((len(c) - 1 for c in brute), default=0)
-    for n in range(n_max):
+    index = _level_index(p, j_top)
+    for n, row in enumerate(brute):
         t0 = theta0(p, n)
-        for j, value in enumerate(evaluate_levels(p, j_top, n)):
-            want = brute[n][j] if j < len(brute[n]) else 0
-            if value * t0 != want:
+        for j, (a, d) in enumerate(zip(index.evaluate(n), index.dens)):
+            if a * t0 != (row[j] if j < len(row) else 0) * d:
                 poly_bad = (n, j)
                 break
         if poly_bad:
             break
     polys = block_polynomials_up_to(p, j_top)
-    if poly_bad is None and _peel(polys):
-        # the least row, and level, where the stored rows evaluated densely
-        # leave the generating function; by the uniqueness of P_j one
-        # exists when the rows spell each monomial once, as a build's do
-        poly_bad = next(
-            (n, j)
-            for n in count()
-            for j, value in enumerate(evaluate_levels(p, j_top, n))
-            if polys[j].evaluate(n) != value
-        )
+    if poly_bad is None and (bad := _peel(polys)):
+        poly_bad = _first_difference(polys, bad)
 
     return VerifyReport(
         p,
@@ -361,3 +357,29 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
         poly_bad is None,
         poly_bad,
     )
+
+
+def _first_difference(polys, bad) -> tuple[int, int]:
+    """The least row n, then level j, where the stored levels leave their
+    rebuild: stored minus rebuilt rows on the keys ``bad``, each key's ids
+    sorted and merged, evaluated on ``_LevelIndex.counts(n)``.  By the
+    uniqueness of P_j a nonzero difference shows at some row; a zero one
+    (rows ordered or spelled otherwise) shows at none: ArithmeticError."""
+    p, jmax, keys = polys[0].p, len(polys) - 1, set(bad)
+    stored, rebuilt = [poly._rows for poly in polys], _peeled(p, jmax)
+    sums = [Counter() for _ in polys]
+    for sign, levels in ((1, stored), (-1, rebuilt)):
+        for terms, rows in zip(sums, levels):
+            for key, c, d in (row for row in rows if row[0] in keys):
+                mono = {i: sum(k for h, k in key if h == i) for i, _ in key}
+                terms[tuple(sorted(mono.items()))] += sign * Fraction(c, d)
+    diff = [[(m, q) for m, q in terms.items() if q] for terms in sums]
+    if not any(diff):
+        j = next(j for j, (xs, ys) in enumerate(zip(stored, rebuilt)) if xs != ys)
+        raise ArithmeticError(f"P_{j} leaves its rebuild only in order or spelling")
+    index = _level_index(p, jmax)
+    for n in count():
+        x = dict(index.counts(n))
+        for j, terms in enumerate(diff):
+            if sum(q * math.prod(x.get(i, 0) ** k for i, k in m) for m, q in terms):
+                return n, j

@@ -24,10 +24,10 @@ on integer numerators over one denominator per series.
 The build runs on integer word ids in ``enumerate_admissible`` order: a
 monomial is a tuple of (id, exponent) pairs, and each level stores its
 coefficients as integer numerators and denominators, its only store.
-Printing, summing and the peel check read those rows; a ``Monomial`` and a
-``Fraction`` are made only where the public API reads ``terms``.  P_0..P_J
-at a row come from the generating function exp(sum_w |n|_w log r_w), which
-reads no row.
+Printing and summing read those rows; a ``Monomial`` and a ``Fraction``
+are made only where the public API reads ``terms``.  P_0..P_J at a row come
+from the generating function exp(sum_w |n|_w log r_w), which reads no row;
+``_peel`` compares the rows exactly with their rebuild from the same log r_w.
 """
 
 from __future__ import annotations
@@ -555,22 +555,29 @@ def block_polynomials_up_to(p: int, jmax: int) -> tuple[BlockPolynomial, ...]:
     denominator) rows over the table ``enumerate_admissible(p, jmax)``; no
     ``Monomial`` or ``Fraction`` is made until a level's ``terms`` is read.
     """
-    if jmax < 0:
-        raise ValueError("level must be >= 0")
     index = _level_index(p, jmax)
-    words, logs = index.words, index.logs
-    rows: list[list[_Row]] = [[] for _ in range(jmax + 1)]
+    logs = index.logs
     root: _Offset = (0, 1, [1])
     walk = _monomial_tree(
         index.wts, jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
     )
+    return tuple(
+        BlockPolynomial._stored(p, j, index.words, level)
+        for j, level in enumerate(_level_rows(walk, jmax))
+    )
+
+
+def _level_rows(
+    walk: Iterable[tuple[_Key, _Offset]], jmax: int
+) -> list[list[_Row]]:
+    """The nonzero coefficients of the walked series, filed by level as
+    (key, numerator, denominator) rows in walk order."""
+    rows: list[list[_Row]] = [[] for _ in range(jmax + 1)]
     for key, (low, d, nums) in walk:
         for j, c in enumerate(nums, low):
             if c:
                 rows[j].append((key, c, d))
-    return tuple(
-        BlockPolynomial._stored(p, j, words, level) for j, level in enumerate(rows)
-    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +632,8 @@ class _LevelIndex:
         del counts[None]  # the windows that spell no admissible word
         return sorted(counts.items())
 
-    def evaluate(self, n: int) -> tuple[Fraction, ...]:
+    def evaluate(self, n: int) -> list[int]:
+        """A_0..A_J at row n: P_k(n) = A_k / dens[k]."""
         s = [0] * len(self.dens)
         for i, c in self.counts(n):
             low, nums = self.scaled[i]
@@ -634,73 +642,73 @@ class _LevelIndex:
         a = [1]
         for k, weights in enumerate(self.weights, 1):
             a.append(sum(x * s[i] * a[k - i] for i, x in enumerate(weights, 1)))
-        return tuple(Fraction(x, d) for x, d in zip(a, self.dens))
+        return a
 
 
 @functools.lru_cache(maxsize=1)
 def _level_index(p: int, jmax: int) -> _LevelIndex:
     """The index of the last (p, J) asked for; asking for another frees it."""
+    if jmax < 0:
+        raise ValueError("level must be >= 0")
     return _LevelIndex(p, jmax)
 
 
 def evaluate_levels(p: int, jmax: int, n: int) -> tuple[Fraction, ...]:
     """P_0..P_jmax at X_w = |n|_w for a row n >= 0, exactly, from the
     generating function; equal to ``[P.evaluate(n) for P in
-    block_polynomials_up_to(p, jmax)]`` when that build passes ``_peel``."""
-    if jmax < 0 or n < 0:
-        raise ValueError("evaluate_levels needs a level and a row >= 0")
-    return _level_index(p, jmax).evaluate(n)
+    block_polynomials_up_to(p, jmax)]`` when that build's rows equal their
+    rebuild (``_peel`` returns [])."""
+    if n < 0:
+        raise ValueError("evaluate_levels needs a row >= 0")
+    index = _level_index(p, jmax)
+    return tuple(Fraction(a, d) for a, d in zip(index.evaluate(n), index.dens))
+
+
+def _peeled(p: int, jmax: int) -> list[list[_Row]]:
+    """The rows of P_0..P_jmax rebuilt from the log r_w table, each walk
+    key's first factor (i, k) peeled: m's series is that of m / X_i, a lower
+    key, times log r_i / k.  The build appends the last factor instead."""
+    index = _level_index(p, jmax)
+    memo: dict[_Key, _Offset] = {(): (0, 1, [1])}
+    for key, _ in _monomial_tree(index.wts, jmax):
+        if key:
+            (i, k), rest = key[0], key[1:]
+            base = memo[((i, k - 1), *rest) if k > 1 else rest]
+            memo[key] = _times(base, index.logs[i], k, jmax)
+    return _level_rows(memo.items(), jmax)
+
+
+def _by_key(levels: Iterable[list[_Row]]) -> dict[_Key, list[tuple[int, ...]]]:
+    """Each key's (level, numerator, denominator) triples, levels rising, in
+    order of first appearance: walk order in a build, since a monomial first
+    shows at the level of its weight (its coefficient there is a product of
+    alpha_w > 0)."""
+    out: dict[_Key, list[tuple[int, ...]]] = {}
+    for j, rows in enumerate(levels):
+        for key, c, d in rows:
+            out.setdefault(key, []).append((j, c, d))
+    return out
 
 
 def _peel(polys: Sequence[BlockPolynomial]) -> list[_Key]:
-    """The stored keys of a build of P_0..P_J that the generating function
-    does not give: failing monomials in walk order, then keys no walk reaches.
-
-    The series of a monomial m with first factor (i, k) is that of m / X_i
-    times log r_i / k, and the constant's is 1; by induction on the weight,
-    every monomial passes this check against the stored m / X_i exactly when
-    the stored rows are the generating function's.  The build appends the
-    last factor and the peel removes the first, so their products differ.
-    """
-    jmax = len(polys) - 1
-    index = _level_index(polys[0].p, jmax)
-    rows: dict[_Key, list[tuple[int, int, int]]] = {}
-    for j, poly in enumerate(polys):
-        for key, c, d in poly._rows:
-            rows.setdefault(key, []).append((j, c, d))
-
-    def stored(key: _Key) -> _Offset:
-        # from the lowest stored level up: a lowest level other than the
-        # key's weight fails the compare
-        entries = rows.get(key)
-        if not entries:
-            return 0, 1, []
-        low, den = entries[0][0], math.lcm(*(d for _, _, d in entries))
-        nums = [0] * (jmax + 1 - low)
-        for j, c, d in entries:
-            nums[j - low] += c * (den // d)
-        return _reduced(low, den, nums)
-
-    bad: list[_Key] = []
-    unreached = dict.fromkeys(rows)
-    for key, _ in _monomial_tree(index.wts, jmax):
-        unreached.pop(key, None)
-        want: _Offset = (0, 1, [1])
-        if key:
-            (i, k), rest = key[0], key[1:]
-            base = stored(((i, k - 1), *rest) if k > 1 else rest)
-            want = _times(base, index.logs[i], k, jmax)
-        got = stored(key)
-        if got != want and (got[2] or want[2]):  # zero at any offset is zero
-            bad.append(key)
-    return bad + list(unreached)
+    """[] when every level of a build of P_0..P_J stores exactly the rows of
+    ``_peeled``: the same keys, order, numerators and denominators.  Else
+    the monomials whose stored series is not the rebuilt one, in walk order,
+    then stored keys no walk reaches; or, when only the order differs, the
+    keys out of place."""
+    stored = [poly._rows for poly in polys]
+    rebuilt = _peeled(polys[0].p, len(polys) - 1)
+    if stored == rebuilt:
+        return []
+    have, want = _by_key(stored), _by_key(rebuilt)
+    bad = [key for key in {**want, **have} if have.get(key) != want.get(key)]
+    moved = {a[0] for xs, ys in zip(stored, rebuilt) for a, b in zip(xs, ys) if a != b}
+    return bad or [key for key in want if key in moved]
 
 
 def block_polynomial(p: int, j: int) -> BlockPolynomial:
     """P_j from the cached build of P_0..P_j; that build is keyed by (p, j),
     so after a larger build this builds levels 0..j once more, in its place."""
-    if j < 0:
-        raise ValueError("level must be >= 0")
     return block_polynomials_up_to(p, j)[j]
 
 
@@ -710,16 +718,12 @@ def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
     if j < 1:
         raise ValueError("cumulative level must be >= 1")
     levels = block_polynomials_up_to(p, j - 1)
-    # a monomial first occurs at the level of its weight (the coefficient
-    # there is a product of alpha_w > 0), so first appearance is canonical
-    merged: dict[_Key, tuple[int, int]] = {}
-    for poly in levels:
-        for key, c, d in poly._rows:
-            a, b = merged.get(key, (0, 1))
-            c, d = a * d + c * b, b * d
-            g = math.gcd(c, d)
-            merged[key] = c // g, d // g
-    rows = [(key, c, d) for key, (c, d) in merged.items() if c]
+    rows = []
+    for key, terms in _by_key(poly._rows for poly in levels).items():
+        den = math.lcm(*(d for _, _, d in terms))
+        c = sum(c * (den // d) for _, c, d in terms)
+        if c:
+            rows.append((key, c, den))
     return BlockPolynomial._stored(p, j, levels[0]._words, rows)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppk import oracle
+from ppk import oracle, synth, words
 from ppk.cli import main
 from ppk.oracle import (
     ValuationTriple,
@@ -22,7 +22,7 @@ from ppk.oracle import (
     valuation,
     valuation_by_factorization,
 )
-from ppk.synth import _level_index, block_polynomials_up_to
+from ppk.synth import BlockPolynomial, _level_index, block_polynomials_up_to
 from ppk.theta import T_poly
 from ppk.words import (
     Word,
@@ -300,6 +300,54 @@ class TestEquivalence:
 
         assert self.tampered_report(10, tamper).poly_counterexample == (14, 3)
 
+    def test_search_evaluates_only_the_difference(self, monkeypatch):
+        # J = 8 for n_max = 300; 111111110_2 = 510 is the first row to hold
+        # the word 111111110, whose P_8 row gets +1/3.  The search evaluates
+        # the stored-minus-rebuilt difference on the index's counts, with
+        # no dense evaluation of a stored level and no Word count dict
+        def refuse(*args):
+            raise AssertionError("dense evaluation")
+
+        monkeypatch.setattr(BlockPolynomial, "evaluate_counts", refuse)
+        monkeypatch.setattr(words, "counting_factor_counts", refuse)
+        monkeypatch.setattr(synth, "counting_factor_counts", refuse)
+
+        def tamper(polys):
+            assert len(polys) == 9
+            key = self.key_of(polys, "111111110")
+            rows = polys[8]._rows
+            i = next(i for i, row in enumerate(rows) if row[0] == key)
+            _, c, d = rows[i]
+            rows[i] = key, 3 * c + d, 3 * d
+
+        assert self.tampered_report(300, tamper).poly_counterexample == (510, 8)
+
+    @staticmethod
+    def swap_first_rows(polys):
+        rows = polys[3]._rows
+        rows[0], rows[1] = rows[1], rows[0]
+
+    @staticmethod
+    def respell_x10_x100(polys):
+        # X[10] X[100] stored as X[100] X[10], ids falling, in every level
+        for poly in polys:
+            poly._rows[:] = [
+                (key[::-1] if key == ((0, 1), (1, 1)) else key, c, d)
+                for key, c, d in poly._rows
+            ]
+
+    @pytest.mark.parametrize("tamper", ["swap_first_rows", "respell_x10_x100"])
+    def test_fault_no_row_shows_raises(self, tamper):
+        # every monomial keeps its value, so no row can show the fault, yet
+        # `poly` prints P_3 otherwise than its canonical rows
+        block_polynomials_up_to.cache_clear()
+        try:
+            getattr(self, tamper)(block_polynomials_up_to(2, 6))
+            with pytest.raises(ArithmeticError, match="P_3"):
+                equivalence_report(2, 100)
+        finally:
+            block_polynomials_up_to.cache_clear()
+
 
 class TestCounterexamples:
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -356,20 +404,21 @@ class TestCounterexamples:
         # a wrong row 5 from the recurrence and a wrong level 1 at row 7:
         # both checks run, and each reports its own counterexample
         row_coeffs = oracle._row_coeffs
-        levels = oracle.evaluate_levels
+        levels = synth._LevelIndex.evaluate
 
         def tampered_rows(p, n):
             row = row_coeffs(p, n)
             return row if n != 5 else row[:-1] + [row[-1] + 1]
 
-        def tampered_levels(p, j_max, n):
-            values = levels(p, j_max, n)
+        def tampered_levels(index, n):
+            # P_1 = A_1 / dens[1] gains 1
+            values = levels(index, n)
             if n != 7:
                 return values
-            return values[:1] + (values[1] + 1,) + values[2:]
+            return values[:1] + [values[1] + index.dens[1]] + values[2:]
 
         monkeypatch.setattr(oracle, "_row_coeffs", tampered_rows)
-        monkeypatch.setattr(oracle, "evaluate_levels", tampered_levels)
+        monkeypatch.setattr(synth._LevelIndex, "evaluate", tampered_levels)
         rep = equivalence_report(3, 9, jobs=jobs)
         assert rep.triple_ok and not rep.ok
         assert not rep.rows_ok and rep.rows_counterexample == 5

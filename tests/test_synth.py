@@ -692,8 +692,8 @@ class TestEvaluateLevels:
             ((0, 3),),
             ((0, 3), (1, 2)),
         ]
-        # the dense reference, which reports a failed peel, takes the gap:
-        # 0b10100 has |n|_10 = 2 and |n|_100 = 1
+        # the dense reference takes the gap: 0b10100 has |n|_10 = 2 and
+        # |n|_100 = 1
         assert tuple(poly.evaluate(0b10100) for poly in polys) == (
             1,
             Fraction(1) - Fraction(8, 3) + Fraction(40, 7),
@@ -706,29 +706,39 @@ class TestPeel:
     def test_build_passes(self, p, jmax):
         assert _peel(block_polynomials_up_to(p, jmax)) == []
 
-    def test_tampered_row_flags_it_and_its_square(self):
-        # +1/3 on P_3's first stored row, X[10]: only X[10]^2 is peeled onto
-        # X[10] (X[10]^3 onto X[10]^2, X[10] X[100] onto X[100]), and at
-        # J = 4 its x^4 term reads X[10]'s x^3 term
+    def test_tampered_row_flags_only_it(self):
+        # +1/3 on P_3's first stored row, X[10]: the rebuild reads no stored
+        # row, so X[10]^2 and the other keys peeled onto X[10] stay right
         block_polynomials_up_to.cache_clear()
         try:
             polys = block_polynomials_up_to(2, 4)
             key, c, d = polys[3]._rows[0]
             assert key == ((0, 1),)
             polys[3]._rows[0] = key, 3 * c + d, 3 * d
+            assert _peel(polys) == [((0, 1),)]
+        finally:
+            block_polynomials_up_to.cache_clear()
+
+    def test_reordered_level_flags_the_keys_out_of_place(self):
+        # P_3's first two rows swapped: every monomial keeps its series, yet
+        # the level is not its rebuild, so the peel fails on both keys
+        block_polynomials_up_to.cache_clear()
+        try:
+            polys = block_polynomials_up_to(2, 4)
+            rows = polys[3]._rows
+            rows[0], rows[1] = rows[1], rows[0]
             assert _peel(polys) == [((0, 1),), ((0, 2),)]
         finally:
             block_polynomials_up_to.cache_clear()
 
     def test_level_below_the_weight_is_flagged(self):
-        # X[100] has weight 2, so a P_1 row for it fails, and so does
-        # X[10] X[100], which is peeled onto it
+        # X[100] has weight 2, so a P_1 row for it fails
         block_polynomials_up_to.cache_clear()
         try:
             polys = block_polynomials_up_to(2, 3)
             assert polys[0]._words[1] == W("100")
             polys[1]._rows.append((((1, 1),), 1, 1))
-            assert _peel(polys) == [((1, 1),), ((0, 1), (1, 1))]
+            assert _peel(polys) == [((1, 1),)]
         finally:
             block_polynomials_up_to.cache_clear()
 
