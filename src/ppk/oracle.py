@@ -6,9 +6,12 @@ three classical routes computed separately so they can vouch for each other.
 Row histograms and column densities built on top give the reference data the
 recurrence and the synthesized polynomials are checked against.
 
-Scans are exhaustive over stated ranges; numpy carries the bulk loops, and
-range partitioning across processes is available where a scan is wide.  The
-process pool is imported only when one starts, so serial runs never load
+Scans are exhaustive over stated ranges; numpy carries the bulk loops of the
+``verify`` scans, and range partitioning across processes is available where
+a scan is wide.  Column counts come from a carry-counting digit automaton,
+exact for every m_max and with no numpy.  numpy and the process pool are
+imported only by the functions that use them, so importing this module or
+running ``columns`` never loads numpy, and serial runs never load
 ``concurrent.futures`` or ``multiprocessing``.
 """
 
@@ -20,12 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .synth import _level_index, _peel, _peeled, block_polynomials_up_to
 from .theta import _row_coeffs, theta0
 from .words import digit_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ValuationTriple",
@@ -106,6 +111,8 @@ def valuation_by_factorization(n: int, t: int, p: int) -> int:
 
 def row_counts_bruteforce(p: int, n: int) -> list[int]:
     """Histogram of nu_p(C(n, t)) over t = 0..n, via digit sums only."""
+    import numpy as np  # here, so that importing ppk.oracle never loads numpy
+
     s = _digit_sum_table(n + 1, p)
     sn = int(s[n])
     vals = (s[: n + 1] + s[n::-1] - sn) // (p - 1)
@@ -122,6 +129,8 @@ def _digit_sum_table(limit: int, p: int) -> np.ndarray:
     s_p(d p^k + m) = d + s_p(m) for 0 < d < p and m < p^k fills the next
     p - 1 blocks, so the table costs one pass over its length.
     """
+    import numpy as np
+
     have = _DS_CACHE.get(p)
     if have is None or len(have) < limit:
         s = np.zeros(limit, dtype=np.int64)
@@ -138,6 +147,8 @@ def _digit_sum_table(limit: int, p: int) -> np.ndarray:
 
 
 def _valuation_sieve(limit: int, p: int) -> np.ndarray:
+    import numpy as np
+
     v = np.zeros(limit, dtype=np.int64)
     q = p
     while q < limit:
@@ -150,6 +161,8 @@ def _valuation_sieve(limit: int, p: int) -> np.ndarray:
 
 def _triple_chunk(p: int, n_lo: int, n_hi: int) -> tuple[int, int] | None:
     """First (n, t) in the half-open row range where the routes disagree."""
+    import numpy as np
+
     s = _digit_sum_table(n_hi, p)
     # nu_p(n!) as a prefix sum of the valuation sieve
     nu_fact = np.cumsum(_valuation_sieve(n_hi, p))
@@ -204,7 +217,7 @@ def triple_agreement_scan(
 
 @dataclass(frozen=True)
 class ColumnDensityEstimate:
-    """Sampled density of rows m < m_max with nu_2(C(m+t, m)) = j."""
+    """Density of rows m < m_max with nu_2(C(m+t, m)) = j, counted exactly."""
 
     t: int
     j: int
@@ -213,15 +226,51 @@ class ColumnDensityEstimate:
     estimate: Fraction
 
 
-def _column_histogram(t: int, m_max: int) -> np.ndarray:
-    s = _digit_sum_table(m_max + t, 2)
-    nu = s[:m_max] + digit_sum(t, 2) - s[t : t + m_max]
-    return np.bincount(nu)
+def _carry_counts(t: int, j_max: int, m_max: int) -> list[int]:
+    """For j = 0..j_max, the number of m < m_max whose sum m + t has exactly
+    j carries in base 2, that is nu_2(C(m+t, m)) = j by Kummer's theorem.
+
+    A digit automaton reads the bits of m, t and m_max from the lowest up.
+    After bits 0..i-1 its state is (c, lt): c the carry out of bit i-1, lt
+    whether m mod 2^i < m_max mod 2^i.  Bit i of m, a, moves it to
+
+        c' = (a + t_i + c) // 2,  lt' = a < b_i or (a == b_i and lt),
+
+    with b_i bit i of m_max: the carry into bit i + 1 depends only on bit i
+    and the carry into it, and of two numbers the higher differing bit
+    decides the order.  Each state holds, by total carries j, how many
+    prefixes of m lead to it; a step with c' = 1 moves every count from j to
+    j + 1.  Carries never decrease, so totals above j_max are dropped.  Since
+    m < m_max, bits of m at and above bitlen(m_max) are 0; the automaton
+    reads them until t's bits end too, and the carry out of the last bit
+    read is the last carry.  The answer is the counts of the states with lt.
+    So the counts are exact for every m_max, in O(bitlen(m_max) + bitlen(t))
+    steps, and read nothing but t and m_max: no P_j, recurrence or r_w.
+
+    A state's counts are the polynomial sum_j count_j z^j mod z^(j_max+1),
+    held at z = 2^w (Kronecker substitution), so moving a carry is a shift.
+    Lanes never overflow: at every step at most 2^bitlen(m_max) < 2^w
+    prefixes are counted in all, as m's bits past bitlen(m_max) are 0.
+    """
+    top = m_max.bit_length()
+    w = top + 1
+    keep = (1 << w * (j_max + 1)) - 1
+    states = {(0, False): 1}
+    for i in range(max(top, t.bit_length())):
+        b, ti = m_max >> i & 1, t >> i & 1
+        nxt: dict[tuple[int, bool], int] = {}
+        for (c, lt), x in states.items():
+            for a in (0, 1) if i < top else (0,):
+                c1 = (a + ti + c) >> 1
+                key = c1, a < b or (a == b and lt)
+                nxt[key] = nxt.get(key, 0) + ((x << w) & keep if c1 else x)
+        states = nxt
+    below = sum(x for (_, lt), x in states.items() if lt)
+    return [below >> w * j & ((1 << w) - 1) for j in range(j_max + 1)]
 
 
 def column_density_estimate(t: int, j: int, m_max: int) -> ColumnDensityEstimate:
-    hist = _column_histogram(t, m_max)
-    count = int(hist[j]) if j < len(hist) else 0
+    count = _carry_counts(t, j, m_max)[j]
     return ColumnDensityEstimate(t, j, m_max, count, Fraction(count, m_max))
 
 
@@ -251,14 +300,16 @@ def column_check(
     """Column densities of column t against the level-polynomial prediction.
 
     The prediction for level j is P_j at the complemented factor counts of
-    t, X_w = |t|_{complement(w)}, times 2^{-s_2(t)}, against the sampled
-    density over m < m_max.  These X_w are the counts of t' = (2^(b + j_max)
-    - 1) XOR t, b = bitlen(t), for every admissible w of length <= j_max + 1:
-    below offset b a window of t' that long is the complement of t's window
-    padded with zeros, since t' has ones at bits b .. b + j_max - 1, and
-    from offset b up a window is all ones or leads with 0: not admissible.
+    t, X_w = |t|_{complement(w)}, times 2^{-s_2(t)}, against the density
+    over m < m_max, counted exactly by ``_carry_counts``; the verdict is a
+    float deviation within tol.  These X_w are the counts of
+    t' = (2^(b + j_max) - 1) XOR t, b = bitlen(t), for every admissible w
+    of length <= j_max + 1: below offset b a window of t' that long is the
+    complement of t's window padded with zeros, since t' has ones at bits
+    b .. b + j_max - 1, and from offset b up a window is all ones or leads
+    with 0: not admissible.
     """
-    hist = _column_histogram(t, m_max)
+    counts = _carry_counts(t, j_max, m_max)
     shift = digit_sum(t, 2)
     complemented = ((1 << (t.bit_length() + j_max)) - 1) ^ t
     index = _level_index(2, j_max)
@@ -266,9 +317,8 @@ def column_check(
     for j, (a, d) in enumerate(zip(index.evaluate(complemented), index.dens)):
         # int true division is correctly rounded, as float(Fraction) is
         pred = a / (d << shift)
-        count = int(hist[j]) if j < len(hist) else 0
-        est = count / m_max
-        rows.append(ColumnCheckRow(j, count, est, pred, abs(est - pred)))
+        est = counts[j] / m_max
+        rows.append(ColumnCheckRow(j, counts[j], est, pred, abs(est - pred)))
     worst = max(r.deviation for r in rows)
     return ColumnCheckReport(t, j_max, m_max, tol, tuple(rows), worst, worst <= tol)
 
@@ -278,9 +328,8 @@ def column_scan(
 ) -> tuple[ColumnCheckReport, ...]:
     """column_check for every t <= t_max."""
     ts = range(t_max + 1)
-    # one digit-sum table for the widest column, sliced by every t, and the
-    # log r_w table behind P_0..P_jmax, built here for forked workers to inherit
-    _digit_sum_table(m_max + t_max, 2)
+    # the log r_w table behind P_0..P_jmax, built here for forked workers to
+    # inherit
     _level_index(2, j_max)
     return tuple(
         _spread(column_check, jobs, ts, repeat(j_max), repeat(m_max), repeat(tol))
@@ -344,8 +393,11 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
         if poly_bad:
             break
     polys = block_polynomials_up_to(p, j_top)
-    if poly_bad is None and (bad := _peel(polys)):
-        poly_bad = _first_difference(polys, bad)
+    if poly_bad is None:
+        # one rebuild, for the peel and, when it fails, for the search
+        rebuilt = _peeled(p, j_top)
+        if bad := _peel(polys, rebuilt):
+            poly_bad = _first_difference(polys, bad, rebuilt)
 
     return VerifyReport(
         p,
@@ -359,14 +411,15 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     )
 
 
-def _first_difference(polys, bad) -> tuple[int, int]:
+def _first_difference(polys, bad, rebuilt) -> tuple[int, int]:
     """The least row n, then level j, where the stored levels leave their
-    rebuild: stored minus rebuilt rows on the keys ``bad``, each key's ids
-    sorted and merged, evaluated on ``_LevelIndex.counts(n)``.  By the
-    uniqueness of P_j a nonzero difference shows at some row; a zero one
-    (rows ordered or spelled otherwise) shows at none: ArithmeticError."""
+    rebuild ``rebuilt`` (``_peeled``'s rows, as ``_peel`` compared them):
+    stored minus rebuilt rows on the keys ``bad``, each key's ids sorted and
+    merged, evaluated on ``_LevelIndex.counts(n)``.  By the uniqueness of P_j
+    a nonzero difference shows at some row; a zero one (rows ordered or
+    spelled otherwise) shows at none: ArithmeticError."""
     p, jmax, keys = polys[0].p, len(polys) - 1, set(bad)
-    stored, rebuilt = [poly._rows for poly in polys], _peeled(p, jmax)
+    stored = [poly._rows for poly in polys]
     sums = [Counter() for _ in polys]
     for sign, levels in ((1, stored), (-1, rebuilt)):
         for terms, rows in zip(sums, levels):

@@ -690,14 +690,18 @@ def _by_key(levels: Iterable[list[_Row]]) -> dict[_Key, list[tuple[int, ...]]]:
     return out
 
 
-def _peel(polys: Sequence[BlockPolynomial]) -> list[_Key]:
+def _peel(
+    polys: Sequence[BlockPolynomial], rebuilt: list[list[_Row]] | None = None
+) -> list[_Key]:
     """[] when every level of a build of P_0..P_J stores exactly the rows of
     ``_peeled``: the same keys, order, numerators and denominators.  Else
     the monomials whose stored series is not the rebuilt one, in walk order,
     then stored keys no walk reaches; or, when only the order differs, the
-    keys out of place."""
+    keys out of place.  ``rebuilt`` is ``_peeled``'s rows, made here if not
+    given."""
     stored = [poly._rows for poly in polys]
-    rebuilt = _peeled(polys[0].p, len(polys) - 1)
+    if rebuilt is None:
+        rebuilt = _peeled(polys[0].p, len(polys) - 1)
     if stored == rebuilt:
         return []
     have, want = _by_key(stored), _by_key(rebuilt)

@@ -736,15 +736,20 @@ class TestImports:
 
     def test_library_imports_leave_pool_and_environment_alone(self):
         # a serial scan never imports the process pool, and only the
-        # command line sets a default for OpenBLAS's threads
+        # command line sets a default for OpenBLAS's threads; columns count
+        # carries without numpy, which loads only when verify's scans start
         code = (
             "import os, sys, ppk, ppk.oracle\n"
             "ppk.oracle.column_scan(3, 2, 256)\n"
             "print('concurrent.futures.process' in sys.modules)\n"
             "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
+            "ppk.oracle.column_scan(64, 4, 2**18)\n"
+            "print('numpy' in sys.modules)\n"
+            "print(ppk.oracle.equivalence_report(2, 64).ok)\n"
+            "print('numpy' in sys.modules)\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, check=True, text=True, env=SRC_ENV,
         )
-        assert run.stdout == "False\nFalse\n"
+        assert run.stdout == "False\nFalse\nFalse\nTrue\nTrue\n"

@@ -207,6 +207,54 @@ class TestColumns:
         est = column_density_estimate(5, 1, 1 << 12)
         assert est.estimate == Fraction(est.count, est.m_max)
 
+    def test_level_no_row_reaches(self):
+        # column 0 has no carries, so no m reaches level 3
+        est = column_density_estimate(0, 3, 1 << 10)
+        assert est.count == 0 and est.estimate == 0
+
+
+def carry_histograms(t, j_max, stops):
+    # {m_max: counts of m < m_max by carries in m + t, up to j_max}, by a
+    # brute loop over m with Kummer's count s_2(m) + s_2(t) - s_2(m + t)
+    hist, out, shift = [0] * (j_max + 1), {}, digit_sum(t, 2)
+    for m in range(max(stops) + 1):
+        if m in stops:
+            out[m] = hist.copy()
+        j = m.bit_count() + shift - (m + t).bit_count()
+        if j <= j_max:
+            hist[j] += 1
+    return out
+
+
+class TestCarryCounts:
+    # the digit automaton against the brute loop, for j <= 8: m_max = 1,
+    # around each period 2^(bitlen(t) + j), off the powers of two, and
+    # below t
+    @pytest.mark.parametrize(
+        "t", [*range(33), 63, 64, 65, 127, 128, 129, 170, 255, 256, 257, 299, 300]
+    )
+    def test_matches_brute_loop(self, t):
+        j_max, b = 8, t.bit_length()
+        stops = {1, 1000, 3 * 2 ** (b + 2) + 5, max(1, t // 3), max(1, t - 1)}
+        for j in range(j_max + 1):
+            stops |= {2 ** (b + j) - 1, 2 ** (b + j), 2 ** (b + j) + 1}
+        want = carry_histograms(t, j_max, stops)
+        for m_max in sorted(stops):
+            for j in range(j_max + 1):
+                got = oracle._carry_counts(t, j, m_max)
+                assert got == want[m_max][: j + 1], (t, j, m_max)
+
+    def test_one_row(self):
+        # m = 0 adds no carry to any t
+        for t in (0, 1, 300, 1 << 40):
+            assert oracle._carry_counts(t, 2, 1) == [1, 0, 0]
+
+    def test_wide_windows_are_exact(self):
+        # far past any numpy table: every m < 2^40 in one lane, and for
+        # t = 1 half the rows are even (no carry), a quarter are 1 mod 4
+        assert oracle._carry_counts(0, 3, 1 << 40) == [1 << 40, 0, 0, 0]
+        assert oracle._carry_counts(1, 1, 1 << 40) == [1 << 39, 1 << 38]
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -321,6 +369,29 @@ class TestEquivalence:
             rows[i] = key, 3 * c + d, 3 * d
 
         assert self.tampered_report(300, tamper).poly_counterexample == (510, 8)
+
+    def test_failed_peel_rebuilds_once(self, monkeypatch):
+        # the peel's rebuild of P_0..P_3 also feeds the search for the row
+        calls = []
+        peeled = synth._peeled
+
+        def counted(p, jmax):
+            calls.append((p, jmax))
+            return peeled(p, jmax)
+
+        monkeypatch.setattr(synth, "_peeled", counted)
+        monkeypatch.setattr(oracle, "_peeled", counted)
+
+        def tamper(polys):
+            key = self.key_of(polys, "1110")
+            rows = polys[3]._rows
+            i = next(i for i, row in enumerate(rows) if row[0] == key)
+            _, c, d = rows[i]
+            rows[i] = key, 3 * c + d, 3 * d
+            calls.clear()
+
+        assert self.tampered_report(10, tamper).poly_counterexample == (14, 3)
+        assert calls == [(2, 3)]
 
     @staticmethod
     def swap_first_rows(polys):
