@@ -6,13 +6,13 @@ three classical routes computed separately so they can vouch for each other.
 Row histograms and column densities built on top give the reference data the
 recurrence and the synthesized polynomials are checked against.
 
-Scans are exhaustive over stated ranges; numpy carries the bulk loops of the
-``verify`` scans, and range partitioning across processes is available where
-a scan is wide.  Column counts come from a carry-counting digit automaton,
-exact for every m_max and with no numpy.  numpy and the process pool are
-imported only by the functions that use them, so importing this module or
-running ``columns`` never loads numpy, and serial runs never load
-``concurrent.futures`` or ``multiprocessing``.
+Scans are exhaustive over stated ranges, and range partitioning across
+processes is available where a scan is wide.  The ``verify`` scans hold each
+row's vectors over t as lanes of one Python int, and column counts come from
+a carry-counting digit automaton, exact for every m_max; neither uses numpy,
+which this module never imports.  The process pool is imported only when a
+scan starts one, so serial runs never load ``concurrent.futures`` or
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from typing import TYPE_CHECKING
 
 from .synth import _level_index, _peel, _peeled, block_polynomials_up_to
@@ -30,7 +30,7 @@ from .theta import _row_coeffs, theta0
 from .words import digit_sum
 
 if TYPE_CHECKING:
-    import numpy as np
+    from array import array
 
 __all__ = [
     "ValuationTriple",
@@ -111,73 +111,177 @@ def valuation_by_factorization(n: int, t: int, p: int) -> int:
 
 def row_counts_bruteforce(p: int, n: int) -> list[int]:
     """Histogram of nu_p(C(n, t)) over t = 0..n, via digit sums only."""
-    import numpy as np  # here, so that importing ppk.oracle never loads numpy
-
-    s = _digit_sum_table(n + 1, p)
-    sn = int(s[n])
-    vals = (s[: n + 1] + s[n::-1] - sn) // (p - 1)
-    return np.bincount(vals).tolist()
+    return _triple_chunk(p, n, n + 1)[1][0]
 
 
-_DS_CACHE: dict[int, np.ndarray] = {}
+_DS_CACHE: dict[int, array] = {}
 
 
-def _digit_sum_table(limit: int, p: int) -> np.ndarray:
+def _digit_sum_table(limit: int, p: int) -> array:
     """s_p(m) for m < limit; the largest table per base is kept and sliced.
 
     Filled in place block by block: with s[:block] done for block = p^k,
     s_p(d p^k + m) = d + s_p(m) for 0 < d < p and m < p^k fills the next
     p - 1 blocks, so the table costs one pass over its length.
     """
-    import numpy as np
+    from array import array  # here, so that importing ppk.oracle never loads it
 
     have = _DS_CACHE.get(p)
     if have is None or len(have) < limit:
-        s = np.zeros(limit, dtype=np.int64)
+        s = array("q", [0]) * limit
         block = 1
         while block < limit:
-            for d in range(1, p):
-                # empty past the limit; the slice clips the last block
-                part = s[d * block : (d + 1) * block]
-                np.add(s[: len(part)], d, out=part)
+            # the blocks that start below the limit; the last may be clipped
+            for d in range(1, min(p, -(-limit // block))):
+                part = s[: min(block, limit - d * block)]
+                s[d * block : d * block + len(part)] = array(
+                    "q", [x + d for x in part]
+                )
             block *= p
         _DS_CACHE[p] = s
         have = s
     return have[:limit]
 
 
-def _valuation_sieve(limit: int, p: int) -> np.ndarray:
-    import numpy as np
-
-    v = np.zeros(limit, dtype=np.int64)
+def _valuation_sieve(limit: int, p: int) -> list[int]:
+    """nu_p(m) for m < limit, with 0 at m = 0."""
+    v = [0] * limit
     q = p
     while q < limit:
-        v[::q] += 1
+        v[q::q] = [x + 1 for x in v[q::q]]
         q *= p
-    if limit:
-        v[0] = 0
     return v
 
 
-def _triple_chunk(p: int, n_lo: int, n_hi: int) -> tuple[int, int] | None:
-    """First (n, t) in the half-open row range where the routes disagree."""
-    import numpy as np
+def _pack(values, w: int) -> int:
+    """sum_t values[t] 2^(w t); an entry outside 0..2^w - 1 raises
+    OverflowError."""
+    size = w // 8
+    return int.from_bytes(
+        b"".join(v.to_bytes(size, "little") for v in values), "little"
+    )
 
-    s = _digit_sum_table(n_hi, p)
-    # nu_p(n!) as a prefix sum of the valuation sieve
-    nu_fact = np.cumsum(_valuation_sieve(n_hi, p))
-    kmax = max(1, math.ceil(math.log(max(n_hi, 2), p)))
-    mods = [np.arange(n_hi, dtype=np.int64) % p**k for k in range(1, kmax + 1)]
+
+def _borrow_lanes(p: int, n: int, w: int, periods: dict[int, int]) -> int:
+    """Lane t holds the borrows of n - t in base p, #{q = p^k <= n :
+    t mod q > n mod q}, for every t <= n; lanes past n hold junk.
+
+    ``periods[q]`` has a 1 in each of lanes 0..q - 1.  Level by level: the
+    levels below q repeat with period q in t, so p copies of the q-lane
+    block, on disjoint lanes (OR adds them), give the levels below p q on
+    p q lanes; level p q then adds 1 on lanes n mod p q + 1 .. p q - 1.
+    """
+    b, q = 0, 1
+    while q <= n:
+        block = b
+        for i in range(1, p):
+            b |= block << w * q * i
+        q *= p
+        if q <= n:
+            cut = w * (n % q + 1)
+            b += periods[q] >> cut << cut
+    return b
+
+
+def _triple_chunk(
+    p: int, n_lo: int, n_hi: int
+) -> tuple[tuple[int, int] | None, list[list[int]]]:
+    """The first (n, t) in the half-open row range where the three routes
+    disagree, or None, and the brute histogram of each row n_lo..n_hi - 1.
+
+    A row's vectors over t = 0..n are held as one int, sum_t v_t 2^(w t)
+    (Kronecker substitution): digits s(t) + s(n - t) - s(n) with s the
+    digit-sum table, facts nu(n!) - nu(t!) - nu((n - t)!) with nu(m!) the
+    prefix sums of the valuation sieve, and the borrows of
+    ``_borrow_lanes``.  The tables are packed once, forwards and reversed,
+    so a row's s(t) is the forward int masked to n + 1 lanes and its
+    s(n - t) is the reversed int shifted down by top - n lanes.  Packing is
+    additive over Z, so the routes agree on a row exactly when the packed
+    ints (p - 1) borrows, digits and borrows, facts are equal, provided that
+    packing is injective on the vectors compared.  It is, on vectors whose
+    lanes all lie in (-2^(w-1), 2^(w-1)): two of them differ by less than
+    2^w in each lane, and the lowest nonzero lane of a difference leaves its
+    packing nonzero mod 2^(w (t + 1)).  Let A bound the top row and every
+    table entry; ``_pack`` raises on a negative one.  Then (p - 1) borrows
+    lies in [0, n) (p^k >= 1 + k (p - 1), Bernoulli), digits in [-A, 2A]
+    and facts in [-2A, A], so every lane of all four lies in [-2A, 2A], and
+    w, a multiple of 8 and at least 16, is chosen with 2A < 2^(w-1).  On
+    correct tables A is the top row (nu(m!) < m and s(m) <= m), so w = 16
+    up to n_hi = 2^14.  Only a row whose packed ints differ is read entry
+    by entry, on the plain tables, to name t.
+
+    The histogram reads the low byte of each lane of digits, (p - 1) nu,
+    and counts each multiple of p - 1; a lane left uncounted raises
+    ArithmeticError.  The packed int is checked first to
+    have every lane's high bytes 0, else ArithmeticError: it is then >= 0
+    (a negative one has the top bit of lane n set, its lanes lying in
+    (-2^(w-1), 2^(w-1))), its base-2^w digits lie in 0..255, and since
+    they and the lanes both lie in (-2^(w-1), 2^(w-1)) they are the lanes.
+    Digits are symmetric in t and n - t by their formula, so the lanes
+    t < (n + 1) / 2 are counted twice and a middle lane once.  Rows are
+    counted also after the routes disagree, so the row check runs on every
+    row.
+    """
+    if n_lo >= n_hi:
+        return None, []
+    s = _digit_sum_table(n_hi, p).tolist()
+    nu = list(accumulate(_valuation_sieve(n_hi, p)))
+    top = n_hi - 1
+    big = 2 * max(top, max(s), max(nu))
+    w = 8 * max(2, (big.bit_length() + 8) // 8)
+    size = w // 8
+    ones = _pack(repeat(1, n_hi), w)
+    high = ((1 << w) - 256) * ones
+    periods = {}
+    q = p
+    while q <= top:
+        periods[q] = ones & (1 << w * q) - 1
+        q *= p
+    digit_sums, digit_sums_rev = _pack(s, w), _pack(reversed(s), w)
+    facts_of, facts_rev = _pack(nu, w), _pack(reversed(nu), w)
+    bad, rows = None, []
     for n in range(n_lo, n_hi):
-        borrows = np.zeros(n + 1, dtype=np.int64)
-        for m in mods:
-            borrows += m[: n + 1] > m[n]
-        digits = (s[: n + 1] + s[n::-1] - int(s[n])) // (p - 1)
-        facts = int(nu_fact[n]) - nu_fact[: n + 1] - nu_fact[n::-1]
-        bad = np.nonzero((borrows != digits) | (digits != facts))[0]
-        if bad.size:
-            return n, int(bad[0])
-    return None
+        lanes = n + 1
+        mask = (1 << w * lanes) - 1
+        down = w * (top - n)
+        one = ones >> down
+        digits = (digit_sums & mask) + (digit_sums_rev >> down) - s[n] * one
+        if bad is None:
+            facts = nu[n] * one - (facts_of & mask) - (facts_rev >> down)
+            borrows = _borrow_lanes(p, n, w, periods) & mask
+            if borrows * (p - 1) != digits or borrows != facts:
+                bad = n, _first_bad_entry(p, n, s, nu)
+        if digits & high:
+            raise ArithmeticError(f"row {n}: a digit-sum lane leaves 0..255")
+        half = lanes // 2
+        # the low bytes of lanes 0..n - half
+        low = digits.to_bytes(size * lanes, "little")[: size * (lanes - half) : size]
+        head, middle = low[:half], low[half:]
+        row, left = [], lanes
+        for v in range(0, 256, p - 1):
+            if not left:
+                break
+            row.append(2 * head.count(v) + middle.count(v))
+            left -= row[-1]
+        if left:
+            raise ArithmeticError(f"row {n}: a digit-sum lane is no multiple of p - 1")
+        rows.append(row)
+    return bad, rows
+
+
+def _first_bad_entry(p: int, n: int, s: list[int], nu: list[int]) -> int:
+    """The least t <= n where the routes disagree, read off the plain tables."""
+    qs = []
+    q = p
+    while q <= n:
+        qs.append(q)
+        q *= p
+    for t in range(n + 1):
+        borrows = sum(t % q > n % q for q in qs)
+        digits = s[t] + s[n - t] - s[n]
+        if borrows * (p - 1) != digits or borrows != nu[n] - nu[t] - nu[n - t]:
+            return t
+    raise ArithmeticError(f"row {n}: packed routes differ, but no entry does")
 
 
 def _spread(fn, jobs: int, *iterables) -> list:
@@ -185,7 +289,8 @@ def _spread(fn, jobs: int, *iterables) -> list:
 
     The pool starts all of its workers at once, so no more start than there
     are calls or CPUs this process may use; at one worker or fewer nothing
-    is forked.  Workers inherit what the parent built before the call.
+    is forked.  Each worker is sent one run of consecutive calls, not one
+    call at a time.  Workers inherit what the parent built before the call.
     """
     calls = list(zip(*iterables))
     affinity = getattr(os, "sched_getaffinity", None)
@@ -196,7 +301,24 @@ def _spread(fn, jobs: int, *iterables) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*calls)))
+        chunk = -(-len(calls) // jobs)
+        return list(pool.map(fn, *zip(*calls), chunksize=chunk))
+
+
+def _triple_scan(
+    p: int, n_max: int, jobs: int
+) -> tuple[tuple[int, int] | None, list[list[int]]]:
+    """``_triple_chunk`` over rows 0..n_max - 1, in up to ``jobs`` chunks:
+    the first disagreement, or None, and every row's brute histogram."""
+    # one digit-sum table for the widest row, before forked workers start
+    _digit_sum_table(n_max, p)
+    # at least one chunk, so that n_max = 0 scans the empty range; a row
+    # costs about n, so chunk i ends near n_max sqrt(i / jobs)
+    jobs = max(1, min(jobs, n_max))
+    bounds = [math.isqrt(n_max * n_max * i // jobs) for i in range(jobs + 1)]
+    chunks = _spread(_triple_chunk, jobs, repeat(p), bounds[:-1], bounds[1:])
+    bad = next((bad for bad, _ in chunks if bad is not None), None)
+    return bad, [row for _, rows in chunks for row in rows]
 
 
 def triple_agreement_scan(
@@ -206,13 +328,8 @@ def triple_agreement_scan(
 
     Returns (True, None) on agreement, else (False, first bad (n, t)).
     """
-    # at least one chunk, so that n_max = 0 scans the empty range
-    jobs = max(1, min(jobs, n_max))
-    bounds = [(n_max * i) // jobs for i in range(jobs + 1)]
-    for bad in _spread(_triple_chunk, jobs, repeat(p), bounds[:-1], bounds[1:]):
-        if bad is not None:
-            return False, bad
-    return True, None
+    bad, _ = _triple_scan(p, n_max, jobs)
+    return bad is None, bad
 
 
 @dataclass(frozen=True)
@@ -369,14 +486,11 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     (``_peel``), so that monomials whose words occur in no row below n_max
     count too.
     """
-    # one digit-sum table for the widest row, before forked workers start;
-    # the log r_w table and the build of P_0..P_J are made after them, here
-    _digit_sum_table(n_max, p)
-    triple_ok, triple_bad = triple_agreement_scan(p, n_max, jobs)
-
+    # the forked workers scan the routes and count the brute rows; the log
+    # r_w table and the build of P_0..P_J are made after them, here
+    triple_bad, brute = _triple_scan(p, n_max, jobs)
     # the identity is checked against the brute rows, which come from digit
     # sums alone, so it runs also when the recurrence's rows disagree
-    brute = [row_counts_bruteforce(p, n) for n in range(n_max)]
     rows_bad = next(
         (n for n, counts in enumerate(brute) if _row_coeffs(p, n) != counts), None
     )
@@ -402,7 +516,7 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     return VerifyReport(
         p,
         n_max,
-        triple_ok,
+        triple_bad is None,
         triple_bad,
         rows_bad is None,
         rows_bad,

@@ -737,9 +737,10 @@ class TestImports:
     def test_library_imports_leave_pool_and_environment_alone(self):
         # a serial scan never imports the process pool, and only the
         # command line sets a default for OpenBLAS's threads; columns count
-        # carries without numpy, which loads only when verify's scans start
+        # carries and verify's scans pack lanes in ints, so neither, nor
+        # verify with forked workers, loads numpy
         code = (
-            "import os, sys, ppk, ppk.oracle\n"
+            "import os, sys, ppk, ppk.cli, ppk.oracle\n"
             "ppk.oracle.column_scan(3, 2, 256)\n"
             "print('concurrent.futures.process' in sys.modules)\n"
             "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
@@ -747,9 +748,15 @@ class TestImports:
             "print('numpy' in sys.modules)\n"
             "print(ppk.oracle.equivalence_report(2, 64).ok)\n"
             "print('numpy' in sys.modules)\n"
+            "print(ppk.cli.main(['verify', '--nmax', '512', '--jobs', '2']))\n"
+            "print('numpy' in sys.modules)\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, check=True, text=True, env=SRC_ENV,
         )
-        assert run.stdout == "False\nFalse\nFalse\nTrue\nTrue\n"
+        assert run.stdout == (
+            "False\nFalse\nFalse\nTrue\nFalse\n"
+            "valuation triple: ok\nrow counts: ok\npolynomial identity: ok\nok\n"
+            "0\nFalse\n"
+        )

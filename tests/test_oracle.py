@@ -6,7 +6,6 @@ import os
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ppk import oracle, synth, words
@@ -132,7 +131,7 @@ class TestDigitSumTable:
         for limit in self.limits(p):
             monkeypatch.setattr(oracle, "_DS_CACHE", {})
             table = oracle._digit_sum_table(limit, p)
-            assert table.dtype == np.int64
+            assert table.typecode == "q"
             assert table.tolist() == [digit_sum(m, p) for m in range(limit)]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -146,6 +145,120 @@ class TestDigitSumTable:
         assert len(oracle._DS_CACHE[p]) == limits[-1]
         # and a smaller one is a slice of it
         assert oracle._digit_sum_table(p + 1, p).tolist() == want[: p + 1]
+
+
+def plain_chunk(p, n_lo, n_hi, s, nu):
+    # the three routes and the histogram entry by entry on plain ints, read
+    # off the tables s (digit sums) and nu (nu_p(m!)) as the packed scan is
+    bad, rows = None, []
+    for n in range(n_lo, n_hi):
+        qs = [p**k for k in range(1, n.bit_length() + 1) if p**k <= n]
+        hist = {}
+        for t in range(n + 1):
+            borrows = sum(t % q > n % q for q in qs)
+            digits = s[t] + s[n - t] - s[n]
+            facts = nu[n] - nu[t] - nu[n - t]
+            if bad is None and not borrows * (p - 1) == digits == (p - 1) * facts:
+                bad = n, t
+            hist[digits // (p - 1)] = hist.get(digits // (p - 1), 0) + 1
+        rows.append([hist.get(j, 0) for j in range(max(hist) + 1)])
+    return bad, rows
+
+
+def textbook_tables(p, limit):
+    s = [digit_sum(m, p) for m in range(limit)]
+    nu = [oracle._nu_factorial(m, p) for m in range(limit)]
+    return s, nu
+
+
+class TestPackedScan:
+    # the chunks of the lane-packed scan against the routes entry by entry
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "bounds", [(0, 90), (0, 1, 2, 90), (0, 17, 18, 49, 90), (0, 64, 65, 90)]
+    )
+    def test_chunks_match_plain_routes(self, p, bounds):
+        s, nu = textbook_tables(p, bounds[-1])
+        rows = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            bad, chunk_rows = oracle._triple_chunk(p, lo, hi)
+            assert (bad, chunk_rows) == plain_chunk(p, lo, hi, s, nu)
+            assert bad is None
+            rows += chunk_rows
+        assert rows == [row_counts_bruteforce(p, n) for n in range(bounds[-1])]
+        assert rows == plain_chunk(p, 0, bounds[-1], s, nu)[1]
+
+    @staticmethod
+    def tamper_digit_sums(monkeypatch, m, by):
+        table = oracle._digit_sum_table
+
+        def tampered(limit, p):
+            s = table(limit, p)
+            if limit > m:
+                s[m] += by
+            return s
+
+        monkeypatch.setattr(oracle, "_digit_sum_table", tampered)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lane_sized_factorial_error(self, monkeypatch, jobs):
+        # nu(12!) alone gains 2^16, a whole 16-bit lane: lanes wide enough
+        # for the tables keep it from aliasing into a neighbour, and the
+        # entry pass names (12, 1) on the plain tables
+        sieve = oracle._valuation_sieve
+
+        def tampered(limit, p):
+            v = sieve(limit, p)
+            if limit > 12:
+                v[12] += 1 << 16
+            if limit > 13:
+                v[13] -= 1 << 16
+            return v
+
+        monkeypatch.setattr(oracle, "_valuation_sieve", tampered)
+        s, nu = textbook_tables(2, 40)
+        nu[12] += 1 << 16
+        assert oracle._triple_chunk(2, 0, 40) == plain_chunk(2, 0, 40, s, nu)
+        assert oracle._triple_chunk(2, 12, 13)[0] == (12, 1)
+        assert triple_agreement_scan(2, 40, jobs=jobs) == (False, (12, 1))
+        rep = equivalence_report(2, 40, jobs=jobs)
+        assert rep.triple_counterexample == (12, 1)
+        assert rep.rows_ok and rep.poly_ok
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_wrong_digit_sum_fails_triple_and_rows(self, monkeypatch, jobs):
+        # s_2(8) one too high: row 8 loses one factor 2 at 0 < t < 8, and
+        # rows above gain one where t or n - t is 8
+        self.tamper_digit_sums(monkeypatch, 8, 1)
+        s, nu = textbook_tables(2, 40)
+        s[8] += 1
+        assert oracle._triple_chunk(2, 0, 40) == plain_chunk(2, 0, 40, s, nu)
+        rep = equivalence_report(2, 40, jobs=jobs)
+        assert rep.triple_counterexample == (8, 1)
+        assert rep.rows_counterexample == 8
+        assert not rep.ok
+
+    def test_lane_sized_digit_sum_error_raises(self, monkeypatch):
+        # s_2(5) gains 2^16 and rows 20..39 hold it at t = 5 and n - 5: in
+        # 16-bit lanes it would carry into lane 6 and read as a byte; lanes
+        # wide enough for the table keep it in lane 5, above 255
+        self.tamper_digit_sums(monkeypatch, 5, 1 << 16)
+        with pytest.raises(ArithmeticError, match="row 20"):
+            oracle._triple_chunk(2, 20, 40)
+
+    def test_negative_lane_raises(self, monkeypatch):
+        # s_2(3) one too high leaves digits -1 at t = 1, 2 of row 3: never
+        # read as a byte
+        self.tamper_digit_sums(monkeypatch, 3, 1)
+        with pytest.raises(ArithmeticError, match="row 3: .* leaves 0..255"):
+            oracle._triple_chunk(2, 0, 8)
+
+    def test_lane_off_the_multiples_raises(self, monkeypatch):
+        # s_3(4) one too high leaves an odd digits lane at t = 4 of row 10:
+        # no valuation's multiple of p - 1 = 2, so it is never binned
+        self.tamper_digit_sums(monkeypatch, 4, 1)
+        with pytest.raises(ArithmeticError, match="row 10: .* no multiple"):
+            oracle._triple_chunk(3, 10, 20)
 
 
 class TestColumns:
@@ -515,7 +628,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *iterables)
 
 
@@ -524,6 +638,7 @@ class TestWorkerCap:
     def pools(self, monkeypatch):
         seen = []
         monkeypatch.setattr(RecordingPool, "seen", seen, raising=False)
+        monkeypatch.setattr(RecordingPool, "chunksizes", [], raising=False)
         # _spread imports the pool from concurrent.futures when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # 64 usable CPUs, so that the cap on calls is what these tests see
@@ -554,6 +669,12 @@ class TestWorkerCap:
         assert equivalence_report(2, 100, jobs=5000) == equivalence_report(2, 100)
         assert pools == [3, 3, 3]
 
+    def test_one_run_of_calls_per_worker(self, pools):
+        assert oracle._spread(abs, 3, range(-10, 0)) == list(range(10, 0, -1))
+        assert oracle._spread(abs, 5, range(-10, 0)) == list(range(10, 0, -1))
+        assert pools == [3, 5]
+        assert RecordingPool.chunksizes == [4, 2]
+
     def test_cpu_count_without_affinity(self, pools, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -562,3 +683,21 @@ class TestWorkerCap:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
         assert pools == [4]
+
+
+class TestSpread:
+    # real forked workers, each sent one run of consecutive calls
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_results_keep_call_order(self):
+        want = [divmod(i, 7) for i in range(-40, 41)]
+        assert oracle._spread(divmod, 2, range(-40, 41), [7] * 81) == want
+
+    def test_columns_with_two_jobs(self, capsys):
+        args = ["columns", "--tmax", "20", "--jmax", "3", "--mmax", "4096"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main([*args, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
