@@ -23,10 +23,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, _int_row, _squarefree_rows
-from .synth import Monomial, _row_memo, _rw_parts, r_w_quotient
+from .synth import Monomial, _rw_parts, r_w_quotient
 from .theta import Tbar
 from .words import Word, enumerate_admissible
 
@@ -151,23 +150,18 @@ class RootProfile:
     max_xi_modulus: float
     radius: float
     dominant_singularity: complex
-    band: tuple[complex, ...]
     classification: str
     r_at_one: Fraction
     coefficient_sum: float | None
 
 
-def classify_word(
-    w: Word, tol: float = 1e-6, *, rows: Callable[[int], list[int]] | None = None
-) -> RootProfile:
+def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
     """Convergence verdict for the coefficient series of X_w.
 
     divergent when max |xi| > 1 + tol, convergent when < 1 - tol, boundary in
-    between; the band lists roots within tol of the unit circle.  tol must
-    lie in (0, 1), since at tol >= 1 no word could be convergent.
-    Convergent words get coefficient_sum = log r_w(1) attached (valid up to
-    the radius, and at 1 by continuity).  ``rows`` is passed on to
-    ``synth._rw_parts``: a scan passes one memo of row polynomials.
+    between.  tol must lie in (0, 1), since at tol >= 1 no word could be
+    convergent.  Convergent words get coefficient_sum = log r_w(1) attached
+    (valid up to the radius, and at 1 by continuity).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
@@ -175,7 +169,7 @@ def classify_word(
         raise ValueError("tol must be below 1, or no word can classify convergent")
     if not w.is_admissible:
         raise ValueError(f"classification needs an admissible word: {w}")
-    num, den = _rw_parts(w, rows)
+    num, den = _rw_parts(w)
     zeros = tuple(_row_roots(num))
     poles = tuple(_row_roots(den))
     # N = b D + a c x^m with a, c > 0 has degree >= m >= 1: roots is never empty
@@ -185,7 +179,6 @@ def classify_word(
     nearest = [r for r, _ in roots if abs(r) <= radius * (1 + 1e-9)]
     dominant = min(nearest, key=lambda r: abs(r.imag))
     dominant = complex(dominant.real, abs(dominant.imag))
-    band = tuple(r for r, _ in roots if 1 - tol <= abs(r) <= 1 + tol)
     if max_xi > 1 + tol:
         verdict = "divergent"
     elif max_xi >= 1 - tol:
@@ -195,7 +188,7 @@ def classify_word(
     r_at_one = Fraction(sum(num), sum(den))
     total = math.log(r_at_one) if verdict == "convergent" else None
     return RootProfile(
-        w, tol, zeros, poles, max_xi, radius, dominant, band, verdict, r_at_one, total
+        w, tol, zeros, poles, max_xi, radius, dominant, verdict, r_at_one, total
     )
 
 
@@ -267,8 +260,7 @@ def scan_convergent_words(p: int, max_len: int, tol: float = 1e-6) -> ScanReport
     certificates in the tests.
     """
     words = enumerate_admissible(p, max_len - 1)
-    rows = _row_memo(p)  # w_L and w_R are shared: build each row once
-    profiles = tuple(classify_word(w, tol, rows=rows) for w in words)
+    profiles = tuple(classify_word(w, tol) for w in words)
     convergent = tuple(pr.word for pr in profiles if pr.classification == "convergent")
     boundary = tuple(pr.word for pr in profiles if pr.classification == "boundary")
     divergent_count = sum(pr.classification == "divergent" for pr in profiles)

@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence, TextIO
@@ -205,6 +206,26 @@ def cmd_poly(args: argparse.Namespace) -> Output:
 
 
 # -- theta -----------------------------------------------------------------
+
+
+def _row_index(text: str) -> int:
+    """``int`` for ``theta --n``, but a decimal n too long for this Python's
+    int parsing is refused by its digit count, without echoing it."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    # a decimal literal as int reads it, its digits in group 1
+    literal = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", text)
+    digits = len(literal[1].replace("_", "")) if literal else 0
+    # Python 3.10.0-3.10.6 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"n has {digits} digits, above this Python's limit of "
+            f"{limit} (sys.set_int_max_str_digits)"
+        )
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def cmd_theta(args: argparse.Namespace) -> Output:
@@ -597,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(
         "theta", cmd_theta, "print exact-divisibility counts for one row"
     )
-    sp.add_argument("--n", type=int, required=True, help="row index")
+    sp.add_argument("--n", type=_row_index, required=True, help="row index")
     sp.add_argument(
         "--j", type=int, default=None, help="single level (default: all)"
     )

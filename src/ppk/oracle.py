@@ -23,14 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from typing import TYPE_CHECKING
 
 from .synth import _level_index, _peel, _peeled, block_polynomials_up_to
 from .theta import _row_coeffs, theta0
 from .words import digit_sum
-
-if TYPE_CHECKING:
-    from array import array
 
 __all__ = [
     "ValuationTriple",
@@ -114,33 +110,18 @@ def row_counts_bruteforce(p: int, n: int) -> list[int]:
     return _triple_chunk(p, n, n + 1)[1][0]
 
 
-_DS_CACHE: dict[int, array] = {}
+def _digit_sum_table(limit: int, p: int) -> list[int]:
+    """s_p(m) for m < limit.
 
-
-def _digit_sum_table(limit: int, p: int) -> array:
-    """s_p(m) for m < limit; the largest table per base is kept and sliced.
-
-    Filled in place block by block: with s[:block] done for block = p^k,
-    s_p(d p^k + m) = d + s_p(m) for 0 < d < p and m < p^k fills the next
-    p - 1 blocks, so the table costs one pass over its length.
+    Grown block by block: with s the table for m < p^k, s_p(d p^k + m) =
+    d + s_p(m) for 0 <= d < p gives the table for m < p^(k+1).  The last
+    block may pass the limit up to p-fold, so a table costs fewer than
+    2 p limit additions before it is cut to length.
     """
-    from array import array  # here, so that importing ppk.oracle never loads it
-
-    have = _DS_CACHE.get(p)
-    if have is None or len(have) < limit:
-        s = array("q", [0]) * limit
-        block = 1
-        while block < limit:
-            # the blocks that start below the limit; the last may be clipped
-            for d in range(1, min(p, -(-limit // block))):
-                part = s[: min(block, limit - d * block)]
-                s[d * block : d * block + len(part)] = array(
-                    "q", [x + d for x in part]
-                )
-            block *= p
-        _DS_CACHE[p] = s
-        have = s
-    return have[:limit]
+    s = [0]
+    while len(s) < limit:
+        s = [x + d for d in range(p) for x in s]
+    return s[:limit]
 
 
 def _valuation_sieve(limit: int, p: int) -> list[int]:
@@ -224,7 +205,7 @@ def _triple_chunk(
     """
     if n_lo >= n_hi:
         return None, []
-    s = _digit_sum_table(n_hi, p).tolist()
+    s = _digit_sum_table(n_hi, p)
     nu = list(accumulate(_valuation_sieve(n_hi, p)))
     top = n_hi - 1
     big = 2 * max(top, max(s), max(nu))
@@ -310,8 +291,6 @@ def _triple_scan(
 ) -> tuple[tuple[int, int] | None, list[list[int]]]:
     """``_triple_chunk`` over rows 0..n_max - 1, in up to ``jobs`` chunks:
     the first disagreement, or None, and every row's brute histogram."""
-    # one digit-sum table for the widest row, before forked workers start
-    _digit_sum_table(n_max, p)
     # at least one chunk, so that n_max = 0 scans the empty range; a row
     # costs about n, so chunk i ends near n_max sqrt(i / jobs)
     jobs = max(1, min(jobs, n_max))

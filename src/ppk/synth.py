@@ -129,29 +129,18 @@ def _check_admissible(w: Word) -> None:
         raise ValueError(f"the closed form of r_w needs an admissible word: {w}")
 
 
-def _row_memo(p: int) -> Callable[[int], list[int]]:
-    """n -> ``_row_coeffs(p, n)``, each row built once; a scan's own memo
-    for ``_rw_parts``, dropped with the scan."""
-    return functools.cache(lambda n: _row_coeffs(p, n))
-
-
-def _rw_parts(
-    w: Word, rows: Callable[[int], list[int]] | None = None
-) -> tuple[list[int], list[int]]:
+def _rw_parts(w: Word) -> tuple[list[int], list[int]]:
     """r_w = N / (b D) in lowest terms, as integer coefficient lists.
 
     With D = T_{w_L} T_{w_R}, c = D(0), alpha_w = a/b and m = len(w) - 1,
     N = b D + a c x^m.  A common factor of N and b D divides a c x^m, and
-    b D(0) = b c != 0, so there is none.  ``rows`` maps n to the row
-    coefficients of T_n (a ``_row_memo`` in a scan); by default each row is
-    built afresh.
+    b D(0) = b c != 0, so there is none.
     """
     _check_admissible(w)
     a, b = _alpha(w.p, w.digits)
     m = len(w.digits) - 1
     wl, wr, _ = truncations(w)
-    rows = rows or functools.partial(_row_coeffs, w.p)
-    tl, tr = rows(wl.value), rows(wr.value)
+    tl, tr = _row_coeffs(w.p, wl.value), _row_coeffs(w.p, wr.value)
     bd = [b * x for x in _mul(tl, tr, len(tl) + len(tr) - 1)]
     num = bd + [0] * (m + 1 - len(bd))
     num[m] += a * tl[0] * tr[0]

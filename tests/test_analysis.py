@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from ppk import synth
 from ppk.analysis import (
     ConvergenceError,
     asymptotic_constants,
@@ -308,28 +307,6 @@ class TestScanPartition:
         assert a.exceptional == b.exceptional
         assert a.boundary == b.boundary
         assert a.divergent_count == b.divergent_count
-
-    def test_each_row_is_built_once(self, monkeypatch):
-        # w_L and w_R of the words are shared: the scan's memo builds each
-        # of their rows once, where every word used to build its two
-        calls = []
-        row_coeffs = synth._row_coeffs
-
-        def counted(p, n):
-            calls.append(n)
-            return row_coeffs(p, n)
-
-        monkeypatch.setattr(synth, "_row_coeffs", counted)
-        rep = scan_convergent_words(2, 7)
-        words = enumerate_admissible(2, 6)
-        rows = {u.value for w in words for u in truncations(w)[:2]}
-        assert rep.checked == len(words) == 63
-        assert sorted(calls) == sorted(rows)
-        assert len(calls) == 64  # two per word, 126, without the memo
-        # a lone classification builds its own rows, as before
-        calls.clear()
-        classify_word(W("1100"))
-        assert sorted(calls) == [W("100").value, W("110").value]
 
     def test_other_base_has_no_named_families(self):
         rep = scan_convergent_words(3, 3)

@@ -409,6 +409,32 @@ class TestExitCodes:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_overlong_n_names_the_digit_limit(self, capsys):
+        # an int too long for this Python to parse is refused by its digit
+        # count, not echoed back as an "invalid int value"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python parses ints of any length")
+        for n, digits in (("9" * (limit + 701), limit + 701),
+                          (" +9" + "_9" * limit, limit + 1)):
+            with pytest.raises(SystemExit) as exc:
+                main(["theta", "--n", n])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert len(err) < 300
+            assert err.endswith(
+                f"argument --n: n has {digits} digits, above this Python's "
+                f"limit of {limit} (sys.set_int_max_str_digits)\n"
+            )
+        # any other bad n keeps argparse's message
+        for n in ("abc", "1.5", "_9", "9_", "9__9"):
+            with pytest.raises(SystemExit) as exc:
+                main(["theta", "--n", n])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"argument --n: invalid int value: {n!r}\n"
+            )
+
     def test_verification_failure_returns_one(self, cli):
         # an odd window makes the sampled densities miss the exact values
         code, out, _ = cli(

@@ -1,5 +1,6 @@
 """Brute-force cross checks: valuation routes, row histograms, columns."""
 
+import array
 import concurrent.futures
 import math
 import os
@@ -127,24 +128,35 @@ class TestDigitSumTable:
         return sorted({0, 1, p - 1, p, p + 1, p**4 - 1, p**4, p**4 + 1})
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_fresh_table(self, monkeypatch, p):
+    def test_fresh_table(self, p):
         for limit in self.limits(p):
-            monkeypatch.setattr(oracle, "_DS_CACHE", {})
             table = oracle._digit_sum_table(limit, p)
-            assert table.typecode == "q"
-            assert table.tolist() == [digit_sum(m, p) for m in range(limit)]
+            assert isinstance(table, list)
+            assert table == [digit_sum(m, p) for m in range(limit)]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_grown_table(self, monkeypatch, p):
-        monkeypatch.setattr(oracle, "_DS_CACHE", {})
+    def test_grown_table(self, p):
+        # the table grows a whole block past the limit and is then cut:
+        # the tables at rising limits are prefixes of the largest one
         limits = self.limits(p)
-        want = [digit_sum(m, p) for m in range(limits[-1])]
-        # each limit above the last grows the cached table
+        largest = oracle._digit_sum_table(limits[-1], p)
+        assert len(largest) == limits[-1]
         for limit in limits:
-            assert oracle._digit_sum_table(limit, p).tolist() == want[:limit]
-        assert len(oracle._DS_CACHE[p]) == limits[-1]
-        # and a smaller one is a slice of it
-        assert oracle._digit_sum_table(p + 1, p).tolist() == want[: p + 1]
+            assert oracle._digit_sum_table(limit, p) == largest[:limit]
+
+    def test_scans_leave_no_module_state(self):
+        # every table of a scan lives for one call: after scans at three
+        # bases, with and without workers, no module global holds a container
+        equivalence_report(2, 300, jobs=2)
+        triple_agreement_scan(3, 200)
+        row_counts_bruteforce(5, 60)
+        held = {
+            name: type(value).__name__
+            for name, value in vars(oracle).items()
+            if not (name.startswith("__") and name.endswith("__"))
+            and isinstance(value, (dict, list, set, array.array))
+        }
+        assert held == {}
 
 
 def plain_chunk(p, n_lo, n_hi, s, nu):
