@@ -94,16 +94,30 @@ def _parse_monomial(text: str, p: int) -> Monomial:
     return Monomial.of(powers.items())
 
 
+def _int_option(text: str) -> int:
+    """``int`` for every integer option, but a decimal too long for this
+    Python's int parsing is refused by its digit count, without echoing it."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    # a decimal literal as int reads it, its digits in group 1
+    literal = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", text)
+    digits = len(literal[1].replace("_", "")) if literal else 0
+    # Python 3.10.0-3.10.6 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"value has {digits} digits, above this Python's limit of "
+            f"{limit} (sys.set_int_max_str_digits)"
+        )
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _jobs(args: argparse.Namespace) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("PPK_JOBS", "1"))
-        except ValueError as exc:
-            raise UsageError("PPK_JOBS must be an integer") from exc
-    if jobs < 1:
+    if args.jobs < 1:
         raise UsageError("jobs must be >= 1")
-    return jobs
+    return args.jobs
 
 
 def _tol(args: argparse.Namespace) -> float:
@@ -206,26 +220,6 @@ def cmd_poly(args: argparse.Namespace) -> Output:
 
 
 # -- theta -----------------------------------------------------------------
-
-
-def _row_index(text: str) -> int:
-    """``int`` for ``theta --n``, but a decimal n too long for this Python's
-    int parsing is refused by its digit count, without echoing it."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    # a decimal literal as int reads it, its digits in group 1
-    literal = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", text)
-    digits = len(literal[1].replace("_", "")) if literal else 0
-    # Python 3.10.0-3.10.6 has no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
-        raise argparse.ArgumentTypeError(
-            f"n has {digits} digits, above this Python's limit of "
-            f"{limit} (sys.set_int_max_str_digits)"
-        )
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def cmd_theta(args: argparse.Namespace) -> Output:
@@ -588,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--p",
-        type=int,
+        type=_int_option,
         choices=SUPPORTED_PRIMES,
         default=2,
         help="prime base (default 2)",
@@ -603,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(
         "poly", cmd_poly, "print the block-count polynomial for one level"
     )
-    sp.add_argument("--j", type=int, required=True, help="level index")
+    sp.add_argument("--j", type=_int_option, required=True, help="level index")
     sp.add_argument(
         "--cumulative",
         action="store_true",
@@ -618,9 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(
         "theta", cmd_theta, "print exact-divisibility counts for one row"
     )
-    sp.add_argument("--n", type=_row_index, required=True, help="row index")
+    sp.add_argument("--n", type=_int_option, required=True, help="row index")
     sp.add_argument(
-        "--j", type=int, default=None, help="single level (default: all)"
+        "--j", type=_int_option, default=None, help="single level (default: all)"
     )
 
     sp = command(
@@ -638,13 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--j",
-        type=int,
+        type=_int_option,
         default=DESK_SCALE_JMAX,
         help="highest coefficient index (default 12)",
     )
     sp.add_argument(
         "--order",
-        type=int,
+        type=_int_option,
         default=None,
         help="series order override",
     )
@@ -663,15 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(
         "verify", cmd_verify, "run the independent oracles against the package"
     )
-    sp.add_argument("--nmax", type=int, required=True, help="rows to check")
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes")
+    sp.add_argument("--nmax", type=_int_option, required=True, help="rows to check")
+    sp.add_argument("--jobs", type=_int_option, default=1, help="worker processes")
 
     sp = command(
         "terms",
         cmd_terms,
         "compare term counts with the generating-function bound",
     )
-    sp.add_argument("--jmax", type=int, required=True, help="highest level")
+    sp.add_argument("--jmax", type=_int_option, required=True, help="highest level")
     sp.add_argument(
         "--force",
         action="store_true",
@@ -685,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--word", default=None, help="single admissible word")
     sp.add_argument(
-        "--maxlen", type=int, default=None, help="scan all words up to length"
+        "--maxlen", type=_int_option, default=None, help="scan all words up to length"
     )
     sp.add_argument(
         "--tol",
@@ -699,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_tildetheta,
         "print the digit-sum reindexed count table",
     )
-    sp.add_argument("--kmax", type=int, required=True, help="highest row")
-    sp.add_argument("--nmax", type=int, required=True, help="highest column")
+    sp.add_argument("--kmax", type=_int_option, required=True, help="highest row")
+    sp.add_argument("--nmax", type=_int_option, required=True, help="highest column")
     sp.add_argument(
         "--product",
         action="store_true",
@@ -712,10 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_columns,
         "check column densities against polynomial predictions",
     )
-    sp.add_argument("--tmax", type=int, required=True, help="highest column")
-    sp.add_argument("--jmax", type=int, required=True, help="highest level")
+    sp.add_argument("--tmax", type=_int_option, required=True, help="highest column")
+    sp.add_argument("--jmax", type=_int_option, required=True, help="highest level")
     sp.add_argument(
-        "--mmax", type=int, required=True, help="sample rows per column"
+        "--mmax", type=_int_option, required=True, help="sample rows per column"
     )
     sp.add_argument(
         "--tol",
@@ -723,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5e-3,
         help="allowed deviation (default 5e-3)",
     )
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes")
+    sp.add_argument("--jobs", type=_int_option, default=1, help="worker processes")
 
     return parser
 

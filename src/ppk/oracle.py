@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 
-from .synth import _level_index, _peel, _peeled, block_polynomials_up_to
+from .synth import _level_index, _peeled, block_polynomials_up_to
 from .theta import _row_coeffs, theta0
 from .words import digit_sum
 
@@ -188,8 +188,11 @@ def _triple_chunk(
     and facts in [-2A, A], so every lane of all four lies in [-2A, 2A], and
     w, a multiple of 8 and at least 16, is chosen with 2A < 2^(w-1).  On
     correct tables A is the top row (nu(m!) < m and s(m) <= m), so w = 16
-    up to n_hi = 2^14.  Only a row whose packed ints differ is read entry
-    by entry, on the plain tables, to name t.
+    up to n_hi = 2^14.  A row whose packed ints differ names t from their
+    differences: their lanes lie in (-2^w, 2^w), so a difference whose
+    lowest nonzero lane is t is that lane times 2^(w t), nonzero, mod
+    2^(w (t + 1)), and its lowest set bit lies in lane t.  The least such t
+    of the two differences is the first entry where the routes disagree.
 
     The histogram reads the low byte of each lane of digits, (p - 1) nu,
     and counts each multiple of p - 1; a lane left uncounted raises
@@ -231,7 +234,8 @@ def _triple_chunk(
             facts = nu[n] * one - (facts_of & mask) - (facts_rev >> down)
             borrows = _borrow_lanes(p, n, w, periods) & mask
             if borrows * (p - 1) != digits or borrows != facts:
-                bad = n, _first_bad_entry(p, n, s, nu)
+                diffs = borrows * (p - 1) - digits, borrows - facts
+                bad = n, min(((d & -d).bit_length() - 1) // w for d in diffs if d)
         if digits & high:
             raise ArithmeticError(f"row {n}: a digit-sum lane leaves 0..255")
         half = lanes // 2
@@ -248,21 +252,6 @@ def _triple_chunk(
             raise ArithmeticError(f"row {n}: a digit-sum lane is no multiple of p - 1")
         rows.append(row)
     return bad, rows
-
-
-def _first_bad_entry(p: int, n: int, s: list[int], nu: list[int]) -> int:
-    """The least t <= n where the routes disagree, read off the plain tables."""
-    qs = []
-    q = p
-    while q <= n:
-        qs.append(q)
-        q *= p
-    for t in range(n + 1):
-        borrows = sum(t % q > n % q for q in qs)
-        digits = s[t] + s[n - t] - s[n]
-        if borrows * (p - 1) != digits or borrows != nu[n] - nu[t] - nu[n - t]:
-            return t
-    raise ArithmeticError(f"row {n}: packed routes differ, but no entry does")
 
 
 def _spread(fn, jobs: int, *iterables) -> list:
@@ -462,7 +451,7 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     level polynomials reproduce the histogram through theta_0 scaling.
     The last compares the generating function with each histogram on
     integers, and the stored rows that ``poly`` prints with their rebuild
-    (``_peel``), so that monomials whose words occur in no row below n_max
+    (``_peeled``), so that monomials whose words occur in no row below n_max
     count too.
     """
     # the forked workers scan the routes and count the brute rows; the log
@@ -485,12 +474,11 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
                 break
         if poly_bad:
             break
-    polys = block_polynomials_up_to(p, j_top)
     if poly_bad is None:
-        # one rebuild, for the peel and, when it fails, for the search
+        stored = [poly._rows for poly in block_polynomials_up_to(p, j_top)]
         rebuilt = _peeled(p, j_top)
-        if bad := _peel(polys, rebuilt):
-            poly_bad = _first_difference(polys, bad, rebuilt)
+        if stored != rebuilt:
+            poly_bad = _first_difference(p, stored, rebuilt)
 
     return VerifyReport(
         p,
@@ -504,26 +492,27 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     )
 
 
-def _first_difference(polys, bad, rebuilt) -> tuple[int, int]:
+def _first_difference(p, stored, rebuilt) -> tuple[int, int]:
     """The least row n, then level j, where the stored levels leave their
-    rebuild ``rebuilt`` (``_peeled``'s rows, as ``_peel`` compared them):
-    stored minus rebuilt rows on the keys ``bad``, each key's ids sorted and
-    merged, evaluated on ``_LevelIndex.counts(n)``.  By the uniqueness of P_j
-    a nonzero difference shows at some row; a zero one (rows ordered or
-    spelled otherwise) shows at none: ArithmeticError."""
-    p, jmax, keys = polys[0].p, len(polys) - 1, set(bad)
-    stored = [poly._rows for poly in polys]
-    sums = [Counter() for _ in polys]
-    for sign, levels in ((1, stored), (-1, rebuilt)):
-        for terms, rows in zip(sums, levels):
-            for key, c, d in (row for row in rows if row[0] in keys):
+    rebuild: each level's stored rows minus its rebuilt ones as multisets,
+    where common rows cancel, summed by monomial and evaluated on
+    ``_LevelIndex.counts(n)``.  By the uniqueness of P_j a nonzero
+    difference shows at some row; a zero one (rows ordered or spelled
+    otherwise) shows at none: ArithmeticError."""
+    diff = []
+    for have, want in zip(stored, rebuilt):
+        rows = Counter(have)
+        rows.subtract(want)
+        terms = Counter()
+        for (key, c, d), times in rows.items():
+            if times:
                 mono = {i: sum(k for h, k in key if h == i) for i, _ in key}
-                terms[tuple(sorted(mono.items()))] += sign * Fraction(c, d)
-    diff = [[(m, q) for m, q in terms.items() if q] for terms in sums]
+                terms[tuple(sorted(mono.items()))] += times * Fraction(c, d)
+        diff.append([(m, q) for m, q in terms.items() if q])
     if not any(diff):
         j = next(j for j, (xs, ys) in enumerate(zip(stored, rebuilt)) if xs != ys)
         raise ArithmeticError(f"P_{j} leaves its rebuild only in order or spelling")
-    index = _level_index(p, jmax)
+    index = _level_index(p, len(stored) - 1)
     for n in count():
         x = dict(index.counts(n))
         for j, terms in enumerate(diff):

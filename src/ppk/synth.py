@@ -27,7 +27,8 @@ coefficients as integer numerators and denominators, its only store.
 Printing and summing read those rows; a ``Monomial`` and a ``Fraction``
 are made only where the public API reads ``terms``.  P_0..P_J at a row come
 from the generating function exp(sum_w |n|_w log r_w), which reads no row;
-``_peel`` compares the rows exactly with their rebuild from the same log r_w.
+``_peeled`` rebuilds the rows from the same log r_w, for ``verify`` to
+compare them exactly.
 """
 
 from __future__ import annotations
@@ -574,8 +575,9 @@ def _level_rows(
 #
 # Summed over all monomials, the coefficient series prod (log r_w)^k / k!
 # give sum_j P_j(n) x^j = exp(s) mod x^(J+1), s = sum_w |n|_w log r_w, so
-# no monomial is walked and ``_peel`` checks the stored rows instead.  With
-# every log r_w over one denominator D, s = S / D for integers S_i, S_0 = 0.
+# no monomial is walked; ``verify`` compares the stored rows with their
+# rebuild, ``_peeled``, instead.  With every log r_w over one denominator D,
+# s = S / D for integers S_i, S_0 = 0.
 # P = exp(s) solves k P_k = sum_{i=1..k} i s_i P_{k-i}; writing P_k =
 # A_k / (D^k k!) and multiplying through by D^k (k-1)! leaves integers:
 #
@@ -585,7 +587,7 @@ def _level_rows(
 
 class _LevelIndex:
     """The word table and the log r_w series of one (p, J), shared by the
-    build, the generating function and the peel."""
+    build, the generating function and the rebuild."""
 
     def __init__(self, p: int, jmax: int) -> None:
         self.p = p
@@ -646,7 +648,7 @@ def evaluate_levels(p: int, jmax: int, n: int) -> tuple[Fraction, ...]:
     """P_0..P_jmax at X_w = |n|_w for a row n >= 0, exactly, from the
     generating function; equal to ``[P.evaluate(n) for P in
     block_polynomials_up_to(p, jmax)]`` when that build's rows equal their
-    rebuild (``_peel`` returns [])."""
+    rebuild, ``_peeled(p, jmax)``."""
     if n < 0:
         raise ValueError("evaluate_levels needs a row >= 0")
     index = _level_index(p, jmax)
@@ -667,38 +669,6 @@ def _peeled(p: int, jmax: int) -> list[list[_Row]]:
     return _level_rows(memo.items(), jmax)
 
 
-def _by_key(levels: Iterable[list[_Row]]) -> dict[_Key, list[tuple[int, ...]]]:
-    """Each key's (level, numerator, denominator) triples, levels rising, in
-    order of first appearance: walk order in a build, since a monomial first
-    shows at the level of its weight (its coefficient there is a product of
-    alpha_w > 0)."""
-    out: dict[_Key, list[tuple[int, ...]]] = {}
-    for j, rows in enumerate(levels):
-        for key, c, d in rows:
-            out.setdefault(key, []).append((j, c, d))
-    return out
-
-
-def _peel(
-    polys: Sequence[BlockPolynomial], rebuilt: list[list[_Row]] | None = None
-) -> list[_Key]:
-    """[] when every level of a build of P_0..P_J stores exactly the rows of
-    ``_peeled``: the same keys, order, numerators and denominators.  Else
-    the monomials whose stored series is not the rebuilt one, in walk order,
-    then stored keys no walk reaches; or, when only the order differs, the
-    keys out of place.  ``rebuilt`` is ``_peeled``'s rows, made here if not
-    given."""
-    stored = [poly._rows for poly in polys]
-    if rebuilt is None:
-        rebuilt = _peeled(polys[0].p, len(polys) - 1)
-    if stored == rebuilt:
-        return []
-    have, want = _by_key(stored), _by_key(rebuilt)
-    bad = [key for key in {**want, **have} if have.get(key) != want.get(key)]
-    moved = {a[0] for xs, ys in zip(stored, rebuilt) for a, b in zip(xs, ys) if a != b}
-    return bad or [key for key in want if key in moved]
-
-
 def block_polynomial(p: int, j: int) -> BlockPolynomial:
     """P_j from the cached build of P_0..P_j; that build is keyed by (p, j),
     so after a larger build this builds levels 0..j once more, in its place."""
@@ -711,10 +681,17 @@ def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
     if j < 1:
         raise ValueError("cumulative level must be >= 1")
     levels = block_polynomials_up_to(p, j - 1)
+    # each key's (numerator, denominator) pairs, in order of first
+    # appearance: walk order, since a monomial first shows at the level of
+    # its weight (its coefficient there is a product of alpha_w > 0)
+    by_key: dict[_Key, list[tuple[int, int]]] = {}
+    for poly in levels:
+        for key, c, d in poly._rows:
+            by_key.setdefault(key, []).append((c, d))
     rows = []
-    for key, terms in _by_key(poly._rows for poly in levels).items():
-        den = math.lcm(*(d for _, _, d in terms))
-        c = sum(c * (den // d) for _, c, d in terms)
+    for key, terms in by_key.items():
+        den = math.lcm(*(d for _, d in terms))
+        c = sum(c * (den // d) for c, d in terms)
         if c:
             rows.append((key, c, den))
     return BlockPolynomial._stored(p, j, levels[0]._words, rows)

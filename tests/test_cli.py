@@ -411,29 +411,38 @@ class TestExitCodes:
 
     def test_overlong_n_names_the_digit_limit(self, capsys):
         # an int too long for this Python to parse is refused by its digit
-        # count, not echoed back as an "invalid int value"
+        # count, not echoed back as an "invalid int value", on every
+        # integer option
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("this Python parses ints of any length")
-        for n, digits in (("9" * (limit + 701), limit + 701),
-                          (" +9" + "_9" * limit, limit + 1)):
-            with pytest.raises(SystemExit) as exc:
-                main(["theta", "--n", n])
-            err = capsys.readouterr().err
-            assert exc.value.code == 2
-            assert len(err) < 300
-            assert err.endswith(
-                f"argument --n: n has {digits} digits, above this Python's "
-                f"limit of {limit} (sys.set_int_max_str_digits)\n"
-            )
-        # any other bad n keeps argparse's message
-        for n in ("abc", "1.5", "_9", "9_", "9__9"):
-            with pytest.raises(SystemExit) as exc:
-                main(["theta", "--n", n])
-            assert exc.value.code == 2
-            assert capsys.readouterr().err.endswith(
-                f"argument --n: invalid int value: {n!r}\n"
-            )
+        options = (
+            (["theta"], "--n"),
+            (["verify"], "--nmax"),
+            (["verify", "--nmax", "4"], "--jobs"),
+            (["poly"], "--j"),
+            (["columns", "--tmax", "1", "--jmax", "1"], "--mmax"),
+        )
+        for argv, option in options:
+            for n, digits in (("9" * (limit + 701), limit + 701),
+                              (" +9" + "_9" * limit, limit + 1)):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, option, n])
+                err = capsys.readouterr().err
+                assert exc.value.code == 2
+                assert len(err) < 300
+                assert err.endswith(
+                    f"argument {option}: value has {digits} digits, above this "
+                    f"Python's limit of {limit} (sys.set_int_max_str_digits)\n"
+                )
+            # any other bad value keeps argparse's message
+            for n in ("abc", "1.5", "_9", "9_", "9__9"):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, option, n])
+                assert exc.value.code == 2
+                assert capsys.readouterr().err.endswith(
+                    f"argument {option}: invalid int value: {n!r}\n"
+                )
 
     def test_verification_failure_returns_one(self, cli):
         # an odd window makes the sampled densities miss the exact values
@@ -490,21 +499,6 @@ class TestExitCodes:
 
 
 class TestEnvironment:
-    def test_jobs_env_used(self, cli, monkeypatch):
-        monkeypatch.setenv("PPK_JOBS", "2")
-        code, out, _ = cli("verify", "--nmax", "64")
-        assert code == 0 and out.endswith("ok\n")
-
-    def test_jobs_flag_beats_env(self, cli, monkeypatch):
-        monkeypatch.setenv("PPK_JOBS", "junk")
-        code, _, _ = cli("verify", "--nmax", "32", "--jobs", "1")
-        assert code == 0
-
-    def test_bad_jobs_env_rejected(self, cli, monkeypatch):
-        monkeypatch.setenv("PPK_JOBS", "junk")
-        code, _, err = cli("verify", "--nmax", "32")
-        assert code == 2 and "PPK_JOBS" in err
-
     def test_one_blas_thread_by_default(self, cli, monkeypatch):
         # set, then delete, so that monkeypatch also removes what main adds
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")

@@ -496,7 +496,8 @@ class TestEquivalence:
         assert self.tampered_report(300, tamper).poly_counterexample == (510, 8)
 
     def test_failed_peel_rebuilds_once(self, monkeypatch):
-        # the peel's rebuild of P_0..P_3 also feeds the search for the row
+        # the one rebuild of P_0..P_3 serves the comparison and the search
+        # for the row
         calls = []
         peeled = synth._peeled
 
@@ -566,6 +567,26 @@ class TestCounterexamples:
         assert main(["verify", "--nmax", "16", "--jobs", str(jobs)]) == 1
         assert capsys.readouterr().out == (
             "valuation triple: FAIL at (12, 1)\n"
+            "row counts: ok\n"
+            "polynomial identity: ok\n"
+            "FAIL\n"
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_packed_borrow_counterexample(self, monkeypatch, capsys, jobs):
+        # +1 on lane 3 of the packed borrows of row 10: only the packed
+        # route is wrong, so t is named from the packed differences
+        borrow_lanes = oracle._borrow_lanes
+
+        def tampered(p, n, w, periods):
+            b = borrow_lanes(p, n, w, periods)
+            return b + (1 << 3 * w) if n == 10 else b
+
+        monkeypatch.setattr(oracle, "_borrow_lanes", tampered)
+        assert triple_agreement_scan(2, 16, jobs=jobs) == (False, (10, 3))
+        assert main(["verify", "--nmax", "16", "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().out == (
+            "valuation triple: FAIL at (10, 3)\n"
             "row counts: ok\n"
             "polynomial identity: ok\n"
             "FAIL\n"

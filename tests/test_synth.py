@@ -25,7 +25,7 @@ from ppk.synth import (
     _level_index,
     _log_rw,
     _mul,
-    _peel,
+    _peeled,
     _reduced,
     _rw_parts,
     cumulative_polynomial,
@@ -662,7 +662,7 @@ class TestEvaluateLevels:
         assert evaluate_levels(2, 3, 0) == evaluate_levels(2, 3, 1) == (1, 0, 0, 0)
 
     def test_exponent_gap(self):
-        # X_w and X_w^3 without X_w^2: the peel must not pass the gap; the
+        # X_w and X_w^3 without X_w^2: the rebuild must not pass the gap; the
         # levels share one table, as a build's do (w has id 0, v id 1)
         w, v = W("10"), W("100")
         words = enumerate_admissible(2, 2)
@@ -682,16 +682,11 @@ class TestEvaluateLevels:
             Monomial.of([(w, 3)]): Fraction(-1, 3),
             Monomial.of([(w, 3), (v, 2)]): Fraction(5, 7),
         }
-        # X_w lacks its level-2 term and X_w^2, X_v, X_110 are missing;
-        # the gap keys lie above weight 2, where no walk reaches
-        assert _peel(polys) == [
-            ((0, 1),),
-            ((0, 2),),
-            ((1, 1),),
-            ((2, 1),),
-            ((0, 3),),
-            ((0, 3), (1, 2)),
-        ]
+        # X_w lacks its level-2 term and X_w^2, X_v, X_110 are missing,
+        # and the gap keys lie above weight 2, where no walk reaches: the
+        # rows are not the rebuild, which is a build's rows
+        assert [poly._rows for poly in polys] != _peeled(2, 2)
+        assert _peeled(2, 2) == [P._rows for P in block_polynomials_up_to(2, 2)]
         # the dense reference takes the gap: 0b10100 has |n|_10 = 2 and
         # |n|_100 = 1
         assert tuple(poly.evaluate(0b10100) for poly in polys) == (
@@ -704,43 +699,51 @@ class TestEvaluateLevels:
 class TestPeel:
     @pytest.mark.parametrize("p, jmax", [(2, 8), (3, 5), (5, 3), (7, 3)])
     def test_build_passes(self, p, jmax):
-        assert _peel(block_polynomials_up_to(p, jmax)) == []
+        build = block_polynomials_up_to(p, jmax)
+        assert [P._rows for P in build] == _peeled(p, jmax)
+
+    @staticmethod
+    def assert_flagged(jmax, tamper):
+        # the cached build of P_0..P_jmax changed by tamper leaves its
+        # rebuild, and the rebuild reads no stored row: it is a fresh,
+        # untampered build's rows
+        block_polynomials_up_to.cache_clear()
+        try:
+            polys = block_polynomials_up_to(2, jmax)
+            tamper(polys)
+            rebuilt = _peeled(2, jmax)
+            assert [P._rows for P in polys] != rebuilt
+            block_polynomials_up_to.cache_clear()
+            assert [P._rows for P in block_polynomials_up_to(2, jmax)] == rebuilt
+        finally:
+            block_polynomials_up_to.cache_clear()
 
     def test_tampered_row_flags_only_it(self):
         # +1/3 on P_3's first stored row, X[10]: the rebuild reads no stored
         # row, so X[10]^2 and the other keys peeled onto X[10] stay right
-        block_polynomials_up_to.cache_clear()
-        try:
-            polys = block_polynomials_up_to(2, 4)
+        def tamper(polys):
             key, c, d = polys[3]._rows[0]
             assert key == ((0, 1),)
             polys[3]._rows[0] = key, 3 * c + d, 3 * d
-            assert _peel(polys) == [((0, 1),)]
-        finally:
-            block_polynomials_up_to.cache_clear()
+
+        self.assert_flagged(4, tamper)
 
     def test_reordered_level_flags_the_keys_out_of_place(self):
         # P_3's first two rows swapped: every monomial keeps its series, yet
-        # the level is not its rebuild, so the peel fails on both keys
-        block_polynomials_up_to.cache_clear()
-        try:
-            polys = block_polynomials_up_to(2, 4)
+        # the level is not its rebuild
+        def tamper(polys):
             rows = polys[3]._rows
             rows[0], rows[1] = rows[1], rows[0]
-            assert _peel(polys) == [((0, 1),), ((0, 2),)]
-        finally:
-            block_polynomials_up_to.cache_clear()
+
+        self.assert_flagged(4, tamper)
 
     def test_level_below_the_weight_is_flagged(self):
         # X[100] has weight 2, so a P_1 row for it fails
-        block_polynomials_up_to.cache_clear()
-        try:
-            polys = block_polynomials_up_to(2, 3)
+        def tamper(polys):
             assert polys[0]._words[1] == W("100")
             polys[1]._rows.append((((1, 1),), 1, 1))
-            assert _peel(polys) == [((1, 1),)]
-        finally:
-            block_polynomials_up_to.cache_clear()
+
+        self.assert_flagged(3, tamper)
 
 
 class TestCumulative:
