@@ -24,7 +24,6 @@ from .ratcore import (
     Rational,
     RationalFunctionQ,
     SeriesQ,
-    rational_from_str,
     rational_to_str,
 )
 from .theta import T_poly, Tbar, theta0
@@ -53,7 +52,6 @@ __all__ = [
     "PolyQ",
     "SeriesQ",
     "RationalFunctionQ",
-    "rational_from_str",
     "rational_to_str",
     "Word",
     "expand",

@@ -64,13 +64,28 @@ class UsageError(ValueError):
     """Raised by handlers for invalid inputs; mapped to exit status 2."""
 
 
+# the longest rejected input that a message echoes whole
+_SHOWN = 40
+
+
+def _named(text: str) -> str:
+    """``text`` if it is short, else its first characters and its length."""
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:_SHOWN // 2]}... ({len(text)} characters)"
+
+
 def _parse_admissible(text: str, p: int) -> Word:
     try:
         w = Word.parse(text, p)
     except ValueError as exc:
+        # Word's message echoes every digit, so a long word is only named
+        if len(text) > _SHOWN:
+            bad = f"not a word over digits 0..{p - 1}: {_named(text)}"
+            raise UsageError(bad) from exc
         raise UsageError(str(exc)) from exc
     if not w.is_admissible:
-        raise UsageError(f"not an admissible word for base {p}: {w}")
+        raise UsageError(f"not an admissible word for base {p}: {_named(str(w))}")
     return w
 
 
@@ -82,11 +97,11 @@ def _parse_monomial(text: str, p: int) -> Monomial:
         if "^" in part:
             body, _, exp_text = part.partition("^")
             try:
-                exp = int(exp_text)
-            except ValueError as exc:
-                raise UsageError(f"bad exponent in {part!r}") from exc
+                exp = _int_option(exp_text, f"bad exponent in {_named(part)!r}")
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(str(exc)) from exc
             if exp < 1:
-                raise UsageError(f"exponent must be >= 1 in {part!r}")
+                raise UsageError(f"exponent must be >= 1 in {_named(part)!r}")
         else:
             body, exp = part, 1
         w = _parse_admissible(body, p)
@@ -94,9 +109,11 @@ def _parse_monomial(text: str, p: int) -> Monomial:
     return Monomial.of(powers.items())
 
 
-def _int_option(text: str) -> int:
-    """``int`` for every integer option, but a decimal too long for this
-    Python's int parsing is refused by its digit count, without echoing it."""
+def _int_option(text: str, invalid: str = "") -> int:
+    """``int`` for every integer option and exponent, but a decimal too long
+    for this Python's int parsing is refused by its digit count, without
+    echoing it; any other bad text is refused as ``invalid``, by default
+    argparse's message."""
     try:
         return int(text)
     except ValueError:
@@ -111,7 +128,9 @@ def _int_option(text: str) -> int:
             f"value has {digits} digits, above this Python's limit of "
             f"{limit} (sys.set_int_max_str_digits)"
         )
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(
+        invalid or f"invalid int value: {_named(text)!r}"
+    )
 
 
 def _jobs(args: argparse.Namespace) -> int:

@@ -4,7 +4,9 @@ No oracle touches the row-polynomial recurrence: valuations of binomial
 coefficients come from carry counting, digit sums, and factorial valuations,
 three classical routes computed separately so they can vouch for each other.
 Row histograms and column densities built on top give the reference data the
-recurrence and the synthesized polynomials are checked against.
+recurrence and the synthesized polynomials are checked against.  The level
+polynomials are read only through their generating function; the check of
+their stored rows against a rebuild lives in ``ppk.synth``, beside the build.
 
 Scans are exhaustive over stated ranges, and range partitioning across
 processes is available where a scan is wide.  The ``verify`` scans hold each
@@ -19,18 +21,15 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 
-from .synth import _level_index, _peeled, block_polynomials_up_to
+from .synth import _first_difference, _level_index
 from .theta import _row_coeffs, theta0
 from .words import digit_sum
 
 __all__ = [
     "ValuationTriple",
-    "ColumnDensityEstimate",
     "ColumnCheckRow",
     "ColumnCheckReport",
     "VerifyReport",
@@ -38,7 +37,6 @@ __all__ = [
     "valuation_by_factorization",
     "row_counts_bruteforce",
     "triple_agreement_scan",
-    "column_density_estimate",
     "column_check",
     "column_scan",
     "equivalence_report",
@@ -300,17 +298,6 @@ def triple_agreement_scan(
     return bad is None, bad
 
 
-@dataclass(frozen=True)
-class ColumnDensityEstimate:
-    """Density of rows m < m_max with nu_2(C(m+t, m)) = j, counted exactly."""
-
-    t: int
-    j: int
-    m_max: int
-    count: int
-    estimate: Fraction
-
-
 def _carry_counts(t: int, j_max: int, m_max: int) -> list[int]:
     """For j = 0..j_max, the number of m < m_max whose sum m + t has exactly
     j carries in base 2, that is nu_2(C(m+t, m)) = j by Kummer's theorem.
@@ -352,11 +339,6 @@ def _carry_counts(t: int, j_max: int, m_max: int) -> list[int]:
         states = nxt
     below = sum(x for (_, lt), x in states.items() if lt)
     return [below >> w * j & ((1 << w) - 1) for j in range(j_max + 1)]
-
-
-def column_density_estimate(t: int, j: int, m_max: int) -> ColumnDensityEstimate:
-    count = _carry_counts(t, j, m_max)[j]
-    return ColumnDensityEstimate(t, j, m_max, count, Fraction(count, m_max))
 
 
 @dataclass(frozen=True)
@@ -426,7 +408,8 @@ class VerifyReport:
     """Cross-validation of recurrence, synthesis, and brute force for one p.
 
     ``poly_ok``: the generating function gives every brute row histogram
-    below n_max, and the stored rows of P_0..P_J are its rebuilt ones.
+    below n_max, and ``synth._first_difference`` finds the stored rows of
+    P_0..P_J equal to their rebuild.
     """
 
     p: int
@@ -450,12 +433,13 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     histogram equals the row polynomial coefficients, and the synthesized
     level polynomials reproduce the histogram through theta_0 scaling.
     The last compares the generating function with each histogram on
-    integers, and the stored rows that ``poly`` prints with their rebuild
-    (``_peeled``), so that monomials whose words occur in no row below n_max
-    count too.
+    integers; this module reads P_j through nothing else.  Then
+    ``synth._first_difference`` compares the stored rows that ``poly``
+    prints with their rebuild, so that monomials whose words occur in no
+    row below n_max count too, and names its own counterexample.
     """
     # the forked workers scan the routes and count the brute rows; the log
-    # r_w table and the build of P_0..P_J are made after them, here
+    # r_w table and the build of P_0..P_J are made after them
     triple_bad, brute = _triple_scan(p, n_max, jobs)
     # the identity is checked against the brute rows, which come from digit
     # sums alone, so it runs also when the recurrence's rows disagree
@@ -475,10 +459,7 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
         if poly_bad:
             break
     if poly_bad is None:
-        stored = [poly._rows for poly in block_polynomials_up_to(p, j_top)]
-        rebuilt = _peeled(p, j_top)
-        if stored != rebuilt:
-            poly_bad = _first_difference(p, stored, rebuilt)
+        poly_bad = _first_difference(p, j_top)
 
     return VerifyReport(
         p,
@@ -490,31 +471,3 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
         poly_bad is None,
         poly_bad,
     )
-
-
-def _first_difference(p, stored, rebuilt) -> tuple[int, int]:
-    """The least row n, then level j, where the stored levels leave their
-    rebuild: each level's stored rows minus its rebuilt ones as multisets,
-    where common rows cancel, summed by monomial and evaluated on
-    ``_LevelIndex.counts(n)``.  By the uniqueness of P_j a nonzero
-    difference shows at some row; a zero one (rows ordered or spelled
-    otherwise) shows at none: ArithmeticError."""
-    diff = []
-    for have, want in zip(stored, rebuilt):
-        rows = Counter(have)
-        rows.subtract(want)
-        terms = Counter()
-        for (key, c, d), times in rows.items():
-            if times:
-                mono = {i: sum(k for h, k in key if h == i) for i, _ in key}
-                terms[tuple(sorted(mono.items()))] += times * Fraction(c, d)
-        diff.append([(m, q) for m, q in terms.items() if q])
-    if not any(diff):
-        j = next(j for j, (xs, ys) in enumerate(zip(stored, rebuilt)) if xs != ys)
-        raise ArithmeticError(f"P_{j} leaves its rebuild only in order or spelling")
-    index = _level_index(p, len(stored) - 1)
-    for n in count():
-        x = dict(index.counts(n))
-        for j, terms in enumerate(diff):
-            if sum(q * math.prod(x.get(i, 0) ** k for i, k in m) for m, q in terms):
-                return n, j

@@ -42,15 +42,9 @@ __all__ = [
     "poly_gcd",
     "squarefree_decomposition",
     "signed_sum",
-    "rational_from_str",
     "rational_to_str",
     "ratio_to_str",
 ]
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse the wire form ``"num/den"`` (or plain ``"num"``)."""
-    return Fraction(text.strip())
 
 
 def rational_to_str(q: Coefficient) -> str:
@@ -520,10 +514,6 @@ class SeriesQ:
         """Degree-0-first array of exact rational strings."""
         return [rational_to_str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "SeriesQ":
-        return cls(len(data) - 1, tuple(rational_from_str(s) for s in data))
-
 
 class RationalFunctionQ:
     """Canonical quotient num/den of polynomials with den(0) != 0.
@@ -582,18 +572,6 @@ class RationalFunctionQ:
     def __str__(self) -> str:
         """The ``ppk rw`` text form, ``(num) / (den)``."""
         return f"({self.num.text()}) / ({self.den.text()})"
-
-    def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        return RationalFunctionQ(self.num * other.den, self.den * other.num)
-
-    def eval(self, x: Coefficient) -> Fraction:
-        d = self.den(x)
-        if not d:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return self.num(x) / d
 
     def series(self, order: int) -> SeriesQ:
         return SeriesQ.from_poly(self.num, order) / SeriesQ.from_poly(self.den, order)

@@ -24,17 +24,20 @@ on integer numerators over one denominator per series.
 The build runs on integer word ids in ``enumerate_admissible`` order: a
 monomial is a tuple of (id, exponent) pairs, and each level stores its
 coefficients as integer numerators and denominators, its only store.
-Printing and summing read those rows; a ``Monomial`` and a ``Fraction``
-are made only where the public API reads ``terms``.  P_0..P_J at a row come
-from the generating function exp(sum_w |n|_w log r_w), which reads no row;
-``_peeled`` rebuilds the rows from the same log r_w, for ``verify`` to
-compare them exactly.
+Printing reads those rows; a ``Monomial`` and a ``Fraction`` are made only
+where the public API reads ``terms``.  The cumulative P'_j = P_0 + ... +
+P_{j-1} is the partial sum of each walked series, so it builds no level.
+P_0..P_J at a row come from the generating function exp(sum_w |n|_w log
+r_w), which reads no row; ``_first_difference`` compares the stored rows
+with their rebuild from the same log r_w, ``_peeled``, exactly, for
+``verify``.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 import random
@@ -449,9 +452,6 @@ class BlockPolynomial:
             g = math.gcd(c, d)
             yield [(names[i], k) for i, k in key], c // g, d // g
 
-    def words(self) -> set[Word]:
-        return {self._words[i] for key, _, _ in self._rows for i, _ in key}
-
     def text(self) -> str:
         terms: list[tuple[int, str]] = []
         for factors, c, d in self._stream():
@@ -546,14 +546,19 @@ def block_polynomials_up_to(p: int, jmax: int) -> tuple[BlockPolynomial, ...]:
     ``Monomial`` or ``Fraction`` is made until a level's ``terms`` is read.
     """
     index = _level_index(p, jmax)
-    logs = index.logs
-    root: _Offset = (0, 1, [1])
-    walk = _monomial_tree(
-        index.wts, jmax, root, lambda s, i, k: _times(s, logs[i], k, jmax)
-    )
     return tuple(
         BlockPolynomial._stored(p, j, index.words, level)
-        for j, level in enumerate(_level_rows(walk, jmax))
+        for j, level in enumerate(_level_rows(_walk(index, jmax), jmax))
+    )
+
+
+def _walk(index: _LevelIndex, jmax: int) -> Iterator[tuple[_Key, _Offset]]:
+    """The monomials of weight <= jmax in canonical order, each with its
+    coefficient series to x^jmax: the tree walk, appending factor (i, k) by
+    one truncated product with log r_i / k."""
+    logs = index.logs
+    return _monomial_tree(
+        index.wts, jmax, (0, 1, [1]), lambda s, i, k: _times(s, logs[i], k, jmax)
     )
 
 
@@ -576,8 +581,8 @@ def _level_rows(
 # Summed over all monomials, the coefficient series prod (log r_w)^k / k!
 # give sum_j P_j(n) x^j = exp(s) mod x^(J+1), s = sum_w |n|_w log r_w, so
 # no monomial is walked; ``verify`` compares the stored rows with their
-# rebuild, ``_peeled``, instead.  With every log r_w over one denominator D,
-# s = S / D for integers S_i, S_0 = 0.
+# rebuild, ``_first_difference``, instead.  With every log r_w over one
+# denominator D, s = S / D for integers S_i, S_0 = 0.
 # P = exp(s) solves k P_k = sum_{i=1..k} i s_i P_{k-i}; writing P_k =
 # A_k / (D^k k!) and multiplying through by D^k (k-1)! leaves integers:
 #
@@ -648,7 +653,7 @@ def evaluate_levels(p: int, jmax: int, n: int) -> tuple[Fraction, ...]:
     """P_0..P_jmax at X_w = |n|_w for a row n >= 0, exactly, from the
     generating function; equal to ``[P.evaluate(n) for P in
     block_polynomials_up_to(p, jmax)]`` when that build's rows equal their
-    rebuild, ``_peeled(p, jmax)``."""
+    rebuild: ``_first_difference(p, jmax)`` is None."""
     if n < 0:
         raise ValueError("evaluate_levels needs a row >= 0")
     index = _level_index(p, jmax)
@@ -669,6 +674,40 @@ def _peeled(p: int, jmax: int) -> list[list[_Row]]:
     return _level_rows(memo.items(), jmax)
 
 
+def _first_difference(p: int, jmax: int) -> tuple[int, int] | None:
+    """None when the stored rows of P_0..P_jmax, the cached build's, equal
+    their rebuild ``_peeled(p, jmax)``: keys, order, numerators and
+    denominators.  Else the least row n, then level j, where they differ:
+    each level's stored rows minus its rebuilt ones as multisets, where
+    common rows cancel, summed by monomial and evaluated on
+    ``_LevelIndex.counts(n)``.  By the uniqueness of P_j a nonzero
+    difference shows at some row; a zero one (rows ordered or spelled
+    otherwise) shows at none: ArithmeticError."""
+    stored = [poly._rows for poly in block_polynomials_up_to(p, jmax)]
+    rebuilt = _peeled(p, jmax)
+    if stored == rebuilt:
+        return None
+    diff = []
+    for have, want in zip(stored, rebuilt):
+        rows = Counter(have)
+        rows.subtract(want)
+        terms = Counter()
+        for (key, c, d), times in rows.items():
+            if times:
+                mono = {i: sum(k for h, k in key if h == i) for i, _ in key}
+                terms[tuple(sorted(mono.items()))] += times * Fraction(c, d)
+        diff.append([(m, q) for m, q in terms.items() if q])
+    if not any(diff):
+        j = next(j for j, (xs, ys) in enumerate(zip(stored, rebuilt)) if xs != ys)
+        raise ArithmeticError(f"P_{j} leaves its rebuild only in order or spelling")
+    index = _level_index(p, jmax)
+    for n in itertools.count():
+        x = dict(index.counts(n))
+        for j, terms in enumerate(diff):
+            if sum(q * math.prod(x.get(i, 0) ** k for i, k in m) for m, q in terms):
+                return n, j
+
+
 def block_polynomial(p: int, j: int) -> BlockPolynomial:
     """P_j from the cached build of P_0..P_j; that build is keyed by (p, j),
     so after a larger build this builds levels 0..j once more, in its place."""
@@ -676,25 +715,21 @@ def block_polynomial(p: int, j: int) -> BlockPolynomial:
 
 
 def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
-    """P'_j = P_0 + ... + P_{j-1}: the share of entries with valuation < j,
-    as the build's rows merged by key on integers."""
+    """P'_j = P_0 + ... + P_{j-1}: the share of entries with valuation < j.
+
+    A monomial's coefficients in P_0..P_{j-1} are its walked series to
+    x^(j-1), all over the series' one denominator d, so its row is the sum
+    of the numerators over d, kept when nonzero.  The rows come in walk
+    order, which is canonical; no level is built."""
     if j < 1:
         raise ValueError("cumulative level must be >= 1")
-    levels = block_polynomials_up_to(p, j - 1)
-    # each key's (numerator, denominator) pairs, in order of first
-    # appearance: walk order, since a monomial first shows at the level of
-    # its weight (its coefficient there is a product of alpha_w > 0)
-    by_key: dict[_Key, list[tuple[int, int]]] = {}
-    for poly in levels:
-        for key, c, d in poly._rows:
-            by_key.setdefault(key, []).append((c, d))
+    index = _level_index(p, j - 1)
     rows = []
-    for key, terms in by_key.items():
-        den = math.lcm(*(d for _, d in terms))
-        c = sum(c * (den // d) for c, d in terms)
+    for key, (_, d, nums) in _walk(index, j - 1):
+        c = sum(nums)
         if c:
-            rows.append((key, c, den))
-    return BlockPolynomial._stored(p, j, levels[0]._words, rows)
+            rows.append((key, c, d))
+    return BlockPolynomial._stored(p, j, index.words, rows)
 
 
 def telescope_identity_holds(v: Word, order: int) -> bool:

@@ -77,9 +77,6 @@ class Word:
             and self.digits[-1] != self.p - 1
         )
 
-    def in_level(self, j: int) -> bool:
-        return self.is_admissible and len(self.digits) <= j + 1
-
 
 def expand(n: int, p: int) -> Word:
     """Canonical base-p expansion of a natural number (no leading zeros)."""

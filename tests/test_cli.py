@@ -443,6 +443,39 @@ class TestExitCodes:
                 assert capsys.readouterr().err.endswith(
                     f"argument {option}: invalid int value: {n!r}\n"
                 )
+            # and names a long one by its start and length
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, option, "x" * 5001])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"argument {option}: invalid int value: "
+                f"'{'x' * 20}... (5001 characters)'\n"
+            )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--monomial", "10^" + "9" * 5001),
+            ("rw", "--word", "9" * 5001),
+            ("classify", "--word", "9" * 5001),
+            ("coeffs", "--monomial", "9" * 5001),
+            ("rw", "--word", "1" + "0" * 5000 + "1"),
+        ],
+    )
+    def test_overlong_word_or_exponent_is_named(self, cli, argv):
+        # a long rejected word is named by its start and length, and a long
+        # exponent by its digit count against the limit, never echoed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        exponent = argv[2].startswith("10^")
+        if exponent and not limit:
+            pytest.skip("this Python parses ints of any length")
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err) < 300
+        if exponent:
+            assert f"limit of {limit} " in err
+        else:
+            assert err.endswith(f"... ({len(argv[2])} characters)\n")
 
     def test_verification_failure_returns_one(self, cli):
         # an odd window makes the sampled densities miss the exact values

@@ -14,7 +14,6 @@ from ppk.cli import main
 from ppk.oracle import (
     ValuationTriple,
     column_check,
-    column_density_estimate,
     column_scan,
     equivalence_report,
     row_counts_bruteforce,
@@ -276,11 +275,11 @@ class TestPackedScan:
 class TestColumns:
     def test_known_densities_exact(self):
         # nu_2(C(m+2, m)) = 0 iff bit 1 of m is clear
-        est = column_density_estimate(2, 0, 1 << 12)
-        assert est.estimate == Fraction(1, 2)
-        assert column_density_estimate(2, 1, 1 << 12).estimate == Fraction(1, 4)
+        counts = oracle._carry_counts(2, 1, 1 << 12)
+        assert Fraction(counts[0], 1 << 12) == Fraction(1, 2)
+        assert Fraction(counts[1], 1 << 12) == Fraction(1, 4)
         # column 0 is all ones
-        assert column_density_estimate(0, 0, 1 << 10).estimate == 1
+        assert oracle._carry_counts(0, 0, 1 << 10) == [1 << 10]
 
     def test_column_zero_report(self):
         rep = column_check(0, 4, 1 << 10)
@@ -328,14 +327,9 @@ class TestColumns:
                 compared += 1
         assert compared == 325
 
-    def test_estimate_counts_consistent(self):
-        est = column_density_estimate(5, 1, 1 << 12)
-        assert est.estimate == Fraction(est.count, est.m_max)
-
     def test_level_no_row_reaches(self):
         # column 0 has no carries, so no m reaches level 3
-        est = column_density_estimate(0, 3, 1 << 10)
-        assert est.count == 0 and est.estimate == 0
+        assert oracle._carry_counts(0, 3, 1 << 10)[3] == 0
 
 
 def carry_histograms(t, j_max, stops):
@@ -506,7 +500,6 @@ class TestEquivalence:
             return peeled(p, jmax)
 
         monkeypatch.setattr(synth, "_peeled", counted)
-        monkeypatch.setattr(oracle, "_peeled", counted)
 
         def tamper(polys):
             key = self.key_of(polys, "1110")

@@ -18,7 +18,6 @@ from ppk.ratcore import (
     _int_row,
     _squarefree_mod,
     poly_gcd,
-    rational_from_str,
     rational_to_str,
     signed_sum,
     squarefree_decomposition,
@@ -45,7 +44,7 @@ class TestRationalStrings:
         rng = random.Random(1)
         for _ in range(200):
             q = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-            assert rational_from_str(rational_to_str(q)) == q
+            assert Fraction(rational_to_str(q)) == q
 
     def test_integer_form_drops_denominator(self):
         assert rational_to_str(Fraction(-6, 3)) == "-2"
@@ -372,7 +371,6 @@ class TestSeriesQ:
 
     def test_json_round_trip(self):
         s = SeriesQ(3, (1, Fraction(-1, 2), 0, Fraction(5, 3)))
-        assert SeriesQ.from_json(s.to_json()) == s
         assert s.to_json() == ["1", "-1/2", "0", "5/3"]
 
 
@@ -393,26 +391,13 @@ class TestRationalFunctionQ:
     def test_denominator_constant_sign(self):
         a = RationalFunctionQ(PolyQ([1]), PolyQ([-2, 1]))
         assert a.den(0) > 0
-        assert a.eval(0) == Fraction(-1, 2)
+        assert a.num(0) / a.den(0) == Fraction(-1, 2)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             RationalFunctionQ(PolyQ([1]), PolyQ())
         with pytest.raises(ValueError):
             RationalFunctionQ(PolyQ([1]), PolyQ([0, 1]))
-
-    def test_mul_div_eval(self):
-        rng = random.Random(10)
-        for _ in range(25):
-            a = RationalFunctionQ(rand_poly(rng, 2) + 1, rand_poly(rng, 2) * PolyQ([0, 1]) + 1)
-            b = RationalFunctionQ(rand_poly(rng, 2) + 1, rand_poly(rng, 2) * PolyQ([0, 1]) + 1)
-            x = Fraction(rng.randint(1, 5), rng.randint(6, 9))
-            try:
-                lhs = (a * b).eval(x)
-                rhs = a.eval(x) * b.eval(x)
-            except ZeroDivisionError:
-                continue
-            assert lhs == rhs
 
     def test_series_agrees_with_eval_structure(self):
         f = RationalFunctionQ(PolyQ([1]), PolyQ([1, -1]))
@@ -423,15 +408,6 @@ class TestRationalFunctionQ:
         z = RationalFunctionQ(PolyQ(), PolyQ([3, 1]))
         assert z.num.is_zero
         assert z.den == PolyQ([1])
-
-    def test_truediv(self):
-        a = RationalFunctionQ(PolyQ([1, 1]), PolyQ([2, 1]))
-        b = RationalFunctionQ(PolyQ([1, 1]), PolyQ([3, -1]))
-        q = a / b
-        assert (q.num, q.den) == (PolyQ([3, -1]), PolyQ([2, 1]))
-        assert q * b == a
-        with pytest.raises(ValueError):
-            a / RationalFunctionQ(PolyQ([0, 1]), PolyQ([1]))
 
     def test_str_is_the_rw_form(self):
         assert str(r_w_quotient(Word.parse("110", 2))) == "(4 + 2x + x^2) / (4 + 2x)"
@@ -529,4 +505,3 @@ class TestCanonicalForm:
         assert r_w_quotient(Word.parse("100111111110", 2)) == r_w_closed(
             Word.parse("100111111110", 2)
         )
-        assert f / f == RationalFunctionQ(1)

@@ -6,6 +6,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -490,10 +491,6 @@ class TestBlockPolynomials:
             for j in range(k):
                 assert mono not in polys[j].terms, (str(mono), j)
 
-    def test_words_helper(self):
-        poly = block_polynomial(2, 2)
-        assert poly.words() == {W("10"), W("100"), W("110")}
-
     def test_evaluate_counts_skips_absent_words(self):
         poly = block_polynomial(2, 2)
         assert poly.evaluate_counts({W("10"): 2}) == Fraction(-2, 8) + Fraction(4, 8)
@@ -764,9 +761,32 @@ class TestCumulative:
             assert cum.evaluate(n) == Fraction(total, theta0(3, n))
 
     def test_one_build(self):
+        # P'_j sums the walked series in one walk; it builds no P_0..P_{j-1}
         block_polynomials_up_to.cache_clear()
         cumulative_polynomial(3, 5)
-        assert block_polynomials_up_to.cache_info().misses == 1
+        assert block_polynomials_up_to.cache_info().misses == 0
+
+    @staticmethod
+    def merged_by_key(p, j):
+        # the rows of P_0..P_{j-1} merged key by key over the lcm of their
+        # denominators, in order of first appearance, zero sums dropped
+        by_key = {}
+        for poly in block_polynomials_up_to(p, j - 1):
+            for key, c, d in poly._rows:
+                by_key.setdefault(key, []).append((c, d))
+        rows = []
+        for key, terms in by_key.items():
+            den = lcm(*(d for _, d in terms))
+            c = sum(c * (den // d) for c, d in terms)
+            if c:
+                rows.append((key, c, den))
+        return rows
+
+    @pytest.mark.parametrize("p, jmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_rows_match_merged_levels(self, p, jmax):
+        # keys, order, numerators and denominators, at every level
+        for j in range(1, jmax + 1):
+            assert cumulative_polynomial(p, j)._rows == self.merged_by_key(p, j), j
 
     def test_needs_positive_level(self):
         with pytest.raises(ValueError):

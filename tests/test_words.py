@@ -85,8 +85,6 @@ class TestWordBasics:
         assert not Word(2, (0, 1, 0)).is_admissible  # leading zero
         assert not Word(2, (1,)).is_admissible  # too short
         assert Word(3, (2, 1)).is_admissible
-        assert Word(2, (1, 1, 0)).in_level(2)
-        assert not Word(2, (1, 1, 0)).in_level(1)
 
     def test_counting_set(self):
         assert Word(2, (1,)).in_counting_set
