@@ -144,7 +144,6 @@ class RootProfile:
     """
 
     word: Word
-    tol: float
     zeros: tuple[tuple[complex, int], ...]
     poles: tuple[tuple[complex, int], ...]
     max_xi_modulus: float
@@ -188,7 +187,7 @@ def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
     r_at_one = Fraction(sum(num), sum(den))
     total = math.log(r_at_one) if verdict == "convergent" else None
     return RootProfile(
-        w, tol, zeros, poles, max_xi, radius, dominant, verdict, r_at_one, total
+        w, zeros, poles, max_xi, radius, dominant, verdict, r_at_one, total
     )
 
 

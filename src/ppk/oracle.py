@@ -353,9 +353,6 @@ class ColumnCheckRow:
 @dataclass(frozen=True)
 class ColumnCheckReport:
     t: int
-    j_max: int
-    m_max: int
-    tol: float
     rows: tuple[ColumnCheckRow, ...]
     max_deviation: float
     ok: bool
@@ -387,7 +384,7 @@ def column_check(
         est = counts[j] / m_max
         rows.append(ColumnCheckRow(j, counts[j], est, pred, abs(est - pred)))
     worst = max(r.deviation for r in rows)
-    return ColumnCheckReport(t, j_max, m_max, tol, tuple(rows), worst, worst <= tol)
+    return ColumnCheckReport(t, tuple(rows), worst, worst <= tol)
 
 
 def column_scan(

@@ -43,7 +43,6 @@ COMMANDS = [
     *(["theta", "--n", "100", "--format", f] for f in FORMATS),
     ["theta", "--n", "100", "--j", "2", "--format", "json"],
     *(["tildetheta", "--kmax", "3", "--nmax", "5", "--format", f] for f in FORMATS),
-    ["tildetheta", "--kmax", "3", "--nmax", "5", "--product"],
     *(["rw", "--word", "110", "--format", f] for f in FORMATS),
     *(["coeffs", "--monomial", "10^2*110", "--format", f] for f in FORMATS),
     ["coeffs", "--monomial", "10", "--sum", "--format", "json"],
