@@ -12,9 +12,10 @@ Scans are exhaustive over stated ranges, and range partitioning across
 processes is available where a scan is wide.  The ``verify`` scans hold each
 row's vectors over t as lanes of one Python int, and column counts come from
 a carry-counting digit automaton, exact for every m_max; neither uses numpy,
-which this module never imports.  The process pool is imported only when a
-scan starts one, so serial runs never load ``concurrent.futures`` or
-``multiprocessing``.
+which this module never imports.  A scan spread over processes forks its
+workers with ``os.fork`` and scans the first share itself; results come back
+pickled through one pipe per worker, so no scan loads ``concurrent.futures``
+or ``multiprocessing``, and ``pickle`` is imported only when a worker starts.
 """
 
 from __future__ import annotations
@@ -252,25 +253,100 @@ def _triple_chunk(
     return bad, rows
 
 
-def _spread(fn, jobs: int, *iterables) -> list:
-    """``list(map(fn, *iterables))``, on up to ``jobs`` forked workers.
-
-    The pool starts all of its workers at once, so no more start than there
-    are calls or CPUs this process may use; at one worker or fewer nothing
-    is forked.  Each worker is sent one run of consecutive calls, not one
-    call at a time.  Workers inherit what the parent built before the call.
-    """
-    calls = list(zip(*iterables))
+def _runs(calls: list, jobs: int) -> list[list]:
+    """``calls`` cut into up to ``jobs`` runs of consecutive calls, one run
+    per process: no more runs than there are calls or CPUs this process may
+    use."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    jobs = min(jobs, len(calls), cpus)
-    if jobs <= 1:
-        return [fn(*args) for args in calls]
-    from concurrent.futures import ProcessPoolExecutor
+    size = max(1, -(-len(calls) // max(1, min(jobs, cpus))))
+    return [calls[i : i + size] for i in range(0, len(calls), size)]
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = -(-len(calls) // jobs)
-        return list(pool.map(fn, *zip(*calls), chunksize=chunk))
+
+def _fork_run(fn, calls: list):
+    """Fork a child that makes ``calls`` and sends back ``(True, results)``,
+    or ``(False, exception)``, pickled through a pipe of its own; the
+    child's pid and the pipe's read end, as a file.  The child leaves by
+    ``os._exit``, so it never returns into the caller or flushes buffers it
+    shares with the parent."""
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        try:
+            data = pickle.dumps((True, [fn(*args) for args in calls]), -1)
+        except BaseException as exc:
+            try:
+                data = pickle.dumps((False, exc), -1)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(exc))), -1)
+        with open(w, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _spread(fn, jobs: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, on up to ``jobs`` processes.
+
+    The calls are cut into runs by ``_runs``.  The parent makes the first
+    run itself; each other run goes to a child forked by ``_fork_run``, so
+    every worker inherits what the parent built before the call.  An
+    exception in a child is raised again here, and a child that sends no
+    result raises RuntimeError naming its run.  If anything raises, every
+    pipe is closed and every child still running is killed and reaped
+    first, so none is left behind.  Where ``os`` has no ``fork``, the calls
+    run here, one after another.
+    """
+    calls = list(zip(*iterables))
+    runs = _runs(calls, jobs)
+    if len(runs) <= 1 or not hasattr(os, "fork"):
+        return [fn(*args) for args in calls]
+    import pickle
+
+    live = {}  # pid -> pipe, in run order, until the child is reaped
+    try:
+        for run in runs[1:]:
+            pid, pipe = _fork_run(fn, run)
+            live[pid] = pipe
+        results = [fn(*args) for args in runs[0]]
+        for i, (pid, pipe) in enumerate(list(live.items()), 2):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(
+                    f"worker for run {i} of {len(runs)} sent no result "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                ) from None
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        if live:
+            import signal
+
+            for pid, pipe in live.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _triple_scan(
@@ -435,8 +511,8 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     prints with their rebuild, so that monomials whose words occur in no
     row below n_max count too, and names its own counterexample.
     """
-    # the forked workers scan the routes and count the brute rows; the log
-    # r_w table and the build of P_0..P_J are made after them
+    # this process and its forked workers scan the routes and count the brute
+    # rows; the log r_w table and the build of P_0..P_J are made after them
     triple_bad, brute = _triple_scan(p, n_max, jobs)
     # the identity is checked against the brute rows, which come from digit
     # sums alone, so it runs also when the recurrence's rows disagree

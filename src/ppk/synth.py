@@ -371,8 +371,10 @@ def monomials_up_to_weight(p: int, jmax: int) -> list[Monomial]:
 def monomial_series(mono: Monomial, order: int) -> SeriesQ:
     """Coefficient series of a monomial: prod (log r_w)^k / k!.
 
-    Coefficients below the total weight vanish; the order must reach the
-    weight so the first nonzero coefficient is representable.
+    Each (log r_w)^k is raised by squaring, about 2 log_2 k products, and
+    divided once by k!.  Coefficients below the total weight vanish; the
+    order must reach the weight so the first nonzero coefficient is
+    representable.
     """
     if order < mono.weight:
         raise ValueError(
@@ -380,9 +382,16 @@ def monomial_series(mono: Monomial, order: int) -> SeriesQ:
         )
     s: _Offset = (0, 1, [1])
     for w, k in mono.factors:
-        ls = _log_rw(w, order)
-        for i in range(1, k + 1):
-            s = _times(s, ls, i, order)
+        base, power, e = _log_rw(w, order), (0, 1, [1]), k
+        while True:
+            if e & 1:
+                power = _times(power, base, 1, order)
+            e >>= 1
+            if not e:
+                break
+            base = _times(base, base, 1, order)
+        wt, d, nums = power
+        s = _times(s, _reduced(wt, d * math.factorial(k), nums), 1, order)
     return _to_series(s, order)
 
 

@@ -818,21 +818,34 @@ class TestImports:
         assert run.stdout.endswith("\nFalse\n")
 
     def test_library_imports_leave_pool_and_environment_alone(self):
-        # a serial scan never imports the process pool, and only the
-        # command line sets a default for OpenBLAS's threads; columns count
-        # carries and verify's scans pack lanes in ints, so neither, nor
-        # verify with forked workers, loads numpy
+        # no scan imports a process pool, serial or with forked workers, and
+        # only the command line sets a default for OpenBLAS's threads;
+        # columns count carries and verify's scans pack lanes in ints, so
+        # neither, nor verify with forked workers, loads numpy
+        pools = "print(any(m in sys.modules for m in POOLS))\n"
         code = (
-            "import os, sys, ppk, ppk.cli, ppk.oracle\n"
+            "import contextlib, io, os, sys, ppk, ppk.cli, ppk.oracle\n"
+            "POOLS = 'concurrent.futures', 'multiprocessing'\n"
+            # two usable CPUs, so that --jobs 2 forks on any machine
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def last_line(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        status = ppk.cli.main(argv)\n"
+            "    print(status, out.getvalue().splitlines()[-1])\n"
             "ppk.oracle.column_scan(3, 2, 256)\n"
-            "print('concurrent.futures.process' in sys.modules)\n"
-            "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
+            + pools
+            + "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
             "ppk.oracle.column_scan(64, 4, 2**18)\n"
             "print('numpy' in sys.modules)\n"
             "print(ppk.oracle.equivalence_report(2, 64).ok)\n"
             "print('numpy' in sys.modules)\n"
             "print(ppk.cli.main(['verify', '--nmax', '512', '--jobs', '2']))\n"
             "print('numpy' in sys.modules)\n"
+            "last_line(['verify', '--p', '2', '--nmax', '2048', '--jobs', '2'])\n"
+            + pools
+            + "last_line(['columns', '--tmax', '64', '--jmax', '4',"
+            " '--mmax', '262144', '--jobs', '2'])\n"
+            + pools
         )
         run = subprocess.run(
             [sys.executable, "-c", code],
@@ -842,4 +855,6 @@ class TestImports:
             "False\nFalse\nFalse\nTrue\nFalse\n"
             "valuation triple: ok\nrow counts: ok\npolynomial identity: ok\nok\n"
             "0\nFalse\n"
+            "0 ok\nFalse\n"
+            "0 ok (worst deviation 0.000e+00)\nFalse\n"
         )

@@ -1,11 +1,15 @@
 """Brute-force cross checks: valuation routes, row histograms, columns."""
 
 import array
-import concurrent.futures
 import math
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -641,74 +645,75 @@ class TestCounterexamples:
         ]
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in this one."""
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, *iterables)
-
-
 class TestWorkerCap:
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def runs(self, monkeypatch):
+        # the run sizes of each spread that forks, recorded around the real
+        # cut; every run after the first goes to a real forked worker
         seen = []
-        monkeypatch.setattr(RecordingPool, "seen", seen, raising=False)
-        monkeypatch.setattr(RecordingPool, "chunksizes", [], raising=False)
-        # _spread imports the pool from concurrent.futures when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cut = oracle._runs
+
+        def recording(calls, jobs):
+            runs = cut(calls, jobs)
+            if len(runs) > 1:
+                seen.append([len(run) for run in runs])
+            return runs
+
+        monkeypatch.setattr(oracle, "_runs", recording)
         # 64 usable CPUs, so that the cap on calls is what these tests see
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         return seen
 
-    def test_triple_scan_no_more_workers_than_rows(self, pools):
+    @staticmethod
+    def workers(runs):
+        return [len(sizes) for sizes in runs]
+
+    def test_triple_scan_no_more_workers_than_rows(self, runs):
         assert triple_agreement_scan(2, 16, jobs=64) == (True, None)
         assert triple_agreement_scan(2, 16, jobs=2) == (True, None)
         assert triple_agreement_scan(2, 1, jobs=8) == (True, None)
-        assert pools == [16, 2]
+        assert self.workers(runs) == [16, 2]
 
-    def test_column_scan_no_more_workers_than_columns(self, pools):
+    def test_column_scan_no_more_workers_than_columns(self, runs):
         serial = column_scan(3, 2, 1 << 8)
         assert column_scan(3, 2, 1 << 8, jobs=64) == serial
         assert column_scan(0, 2, 1 << 8, jobs=64) == serial[:1]
-        assert pools == [4]
+        assert self.workers(runs) == [4]
 
-    def test_verify_caps_the_triple_scan(self, pools):
+    def test_verify_caps_the_triple_scan(self, runs):
         assert equivalence_report(3, 5, jobs=64).ok
-        assert pools == [5]
+        assert self.workers(runs) == [5]
 
-    def test_no_more_workers_than_usable_cpus(self, pools, monkeypatch):
-        # the pool is never started for real: RecordingPool maps in-process
+    def test_no_more_workers_than_usable_cpus(self, runs, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
         assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
         assert triple_agreement_scan(2, 100, jobs=5000) == (True, None)
         assert equivalence_report(2, 100, jobs=5000) == equivalence_report(2, 100)
-        assert pools == [3, 3, 3]
+        assert self.workers(runs) == [3, 3, 3]
 
-    def test_one_run_of_calls_per_worker(self, pools):
+    def test_one_run_of_calls_per_worker(self, runs):
         assert oracle._spread(abs, 3, range(-10, 0)) == list(range(10, 0, -1))
         assert oracle._spread(abs, 5, range(-10, 0)) == list(range(10, 0, -1))
-        assert pools == [3, 5]
-        assert RecordingPool.chunksizes == [4, 2]
+        assert self.workers(runs) == [3, 5]
+        assert runs == [[4, 4, 2], [2, 2, 2, 2, 2]]
 
-    def test_cpu_count_without_affinity(self, pools, monkeypatch):
+    def test_cpu_count_without_affinity(self, runs, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
         # an unknown CPU count runs serially
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert oracle._spread(abs, 5000, range(-10, 0)) == list(range(10, 0, -1))
-        assert pools == [4]
+        assert self.workers(runs) == [4]
+
+    def test_serial_without_fork(self, runs, monkeypatch):
+        def no_fork(fn, calls):
+            raise AssertionError("forked a worker")
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(oracle, "_fork_run", no_fork)
+        assert oracle._spread(abs, 3, range(-10, 0)) == list(range(10, 0, -1))
+        assert triple_agreement_scan(2, 16, jobs=2) == (True, None)
 
 
 class TestSpread:
@@ -716,6 +721,19 @@ class TestSpread:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a hung worker or wait fails the test instead of holding the suite;
+        # a forked child does not inherit the alarm
+        def expire(signum, frame):
+            raise TimeoutError("no result within 60 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
     def test_results_keep_call_order(self):
         want = [divmod(i, 7) for i in range(-40, 41)]
@@ -727,3 +745,82 @@ class TestSpread:
         serial = capsys.readouterr().out
         assert main([*args, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
+
+    @staticmethod
+    def assert_no_worker_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_exception_reaches_the_scan(self, monkeypatch):
+        # s_2(12) gains 2^16: of the chunks rows 0..10 and 11..15, only the
+        # second, which the forked worker scans, reads it
+        TestPackedScan.tamper_digit_sums(monkeypatch, 12, 1 << 16)
+        with pytest.raises(ArithmeticError, match="row 12: a digit-sum lane leaves"):
+            triple_agreement_scan(2, 16, jobs=2)
+        self.assert_no_worker_left()
+
+    def test_unpicklable_exception_is_named(self):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        parent = os.getpid()
+
+        def fails(x):
+            if os.getpid() != parent:
+                raise Unpicklable(x, "more")
+            return x
+
+        with pytest.raises(RuntimeError, match=r"Unpicklable\('5 and more'\)"):
+            oracle._spread(fails, 2, range(10))
+        self.assert_no_worker_left()
+
+    def test_worker_without_result_raises(self):
+        parent = os.getpid()
+
+        def dies(x):
+            if os.getpid() != parent:
+                os._exit(0)
+            return x
+
+        with pytest.raises(RuntimeError, match="run 2 of 2 sent no result"):
+            oracle._spread(dies, 2, range(10))
+        self.assert_no_worker_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_parent_failure_leaves_no_worker_or_pipe(self):
+        # the worker's result outgrows a pipe's buffer, so it blocks in its
+        # write until the pipe is closed or it is killed
+        parent = os.getpid()
+
+        def big(x):
+            if os.getpid() == parent:
+                time.sleep(0.2)
+                raise ValueError("the parent's run")
+            return bytes(1 << 20)
+
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(ValueError, match="the parent's run"):
+            oracle._spread(big, 2, range(2))
+        self.assert_no_worker_left()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_workers_never_flush_the_parents_buffers(self):
+        # stdout to a pipe is block-buffered, so "before" is still in the
+        # buffer that each forked worker inherits
+        code = (
+            "import os, sys, ppk.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "print('before')\n"
+            "sys.exit(ppk.cli.main(['verify', '--nmax', '2048', '--jobs', '2']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == (
+            "before\nvaluation triple: ok\nrow counts: ok\n"
+            "polynomial identity: ok\nok\n"
+        )

@@ -29,6 +29,8 @@ from ppk.synth import (
     _peeled,
     _reduced,
     _rw_parts,
+    _times,
+    _to_series,
     cumulative_polynomial,
     evaluate_levels,
     log_rw_series,
@@ -322,6 +324,45 @@ class TestMonomials:
         m = Monomial.of([(W("1000"), 1)])
         with pytest.raises(ValueError):
             monomial_series(m, 2)
+
+    @staticmethod
+    def k_fold(mono, order):
+        """prod (log r_w)^k / k!, one factor of log r_w at a time, dividing
+        by i at the i-th: the reference for ``monomial_series``."""
+        s = (0, 1, [1])
+        for w, k in mono.factors:
+            ls = _log_rw(w, order)
+            for i in range(1, k + 1):
+                s = _times(s, ls, i, order)
+        return _to_series(s, order)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_powers_match_k_fold_products(self, p):
+        # every admissible word up to length 4, every k <= 12, at the order
+        # coeffs uses without --j: the monomial's weight
+        for w in enumerate_admissible(p, 3):
+            for k in range(1, 13):
+                m = Monomial.of([(w, k)])
+                assert monomial_series(m, m.weight) == self.k_fold(m, m.weight)
+
+    @pytest.mark.parametrize(
+        "text, p",
+        [
+            ("10", 2), ("110", 2), ("1010", 2),
+            ("21", 3), ("121", 3), ("43", 5), ("1043", 5),
+        ],
+    )
+    def test_powers_match_k_fold_products_above_the_weight(self, text, p):
+        w = Word.parse(text, p)
+        for k in (1, 2, 3, 5, 8, 12):
+            m = Monomial.of([(w, k)])
+            for order in (m.weight + 1, m.weight + 6, m.weight + 25):
+                assert monomial_series(m, order) == self.k_fold(m, order)
+
+    def test_products_of_powers_match_k_fold_products(self):
+        m = Monomial.of([(W("10"), 7), (W("100"), 3), (W("1010"), 2)])
+        for order in (m.weight, m.weight + 1, m.weight + 10):
+            assert monomial_series(m, order) == self.k_fold(m, order)
 
     def test_power_series_is_scaled_log_power(self):
         m = Monomial.of([(W("10"), 2)])
