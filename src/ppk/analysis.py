@@ -20,11 +20,12 @@ forms for the all-ones families 1^s0 and 1^r00.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import PolyQ, RationalFunctionQ, SeriesQ, _int_row, _squarefree_rows
+from .ratcore import PolyQ, RationalFunctionQ, _int_row, _squarefree_rows
 from .synth import Monomial, _rw_parts, r_w_quotient
 from .theta import Tbar
 from .words import Word, enumerate_admissible
@@ -75,22 +76,22 @@ def term_bound_series(p: int, j_max: int) -> list[int]:
     """Exact bounds B_0..B_{j_max} on the term counts of the level polynomials.
 
     B_j counts monomials of total weight <= j; the weight generating function
-    is exp of sum_k (1/k) (p-1)^2 x^k / (1 - p x^k), expanded exactly.
+    b is exp of sum_k (1/k) (p-1)^2 x^k / (1 - p x^k), expanded in integers
+    by its Euler transform (Bernstein and Sloane, "Some canonical sequences
+    of integers", 1995): n b_n = sum_{k=1..n} c_k b_{n-k}, where c_k, k times
+    the exponent's x^k coefficient, is (p-1)^2 sum_{d | k} d p^(d-1).
     """
-    coeffs = [Fraction(0)] * (j_max + 1)
-    for k in range(1, j_max + 1):
-        base = Fraction((p - 1) ** 2, k)
-        for m in range(1, j_max // k + 1):
-            coeffs[k * m] += base * p ** (m - 1)
-    per_weight = SeriesQ(j_max, coeffs).exp()
-    out: list[int] = []
-    total = 0
-    for c in per_weight.coeffs:
-        if c.denominator != 1:
+    c = [0] * (j_max + 1)
+    for d in range(1, j_max + 1):
+        for k in range(d, j_max + 1, d):
+            c[k] += (p - 1) ** 2 * d * p ** (d - 1)
+    b = [1]
+    for n in range(1, j_max + 1):
+        count, rest = divmod(sum(c[k] * b[n - k] for k in range(1, n + 1)), n)
+        if rest:
             raise ArithmeticError("weight series produced a non-integer count")
-        total += c.numerator
-        out.append(total)
-    return out
+        b.append(count)
+    return list(itertools.accumulate(b))
 
 
 def term_bound_asymptotic(p: int, j: int) -> float:

@@ -37,16 +37,16 @@ from .analysis import (
     scan_convergent_words,
     term_bound_series,
 )
-from .ratcore import rational_to_str
+from .ratcore import canonical_rows, quotient_text, ratio_strs, row_text
 from .synth import (
     Monomial,
+    _monomial_offset,
+    _quotient_rows,
     block_polynomial,
     block_polynomials_up_to,
     cumulative_polynomial,
-    monomial_series,
-    r_w_quotient,
 )
-from .theta import T_poly, theta, tilde_table
+from .theta import _row_coeffs, theta, tilde_table
 from .words import Word
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -60,9 +60,12 @@ CAPS = {2: 12, 3: 6, 5: 4, 7: 3}
 CAPS_TEXT = ", ".join(map(str, CAPS.values())) + " at p = " + ", ".join(map(str, CAPS))
 
 # size limits, so that no input allocates without bound; at the limits, on a
-# 2-core box, coeffs 1010 took 2.6 s and 49 MB, tildetheta 2.4 s and 191 MB
+# 2-core box, coeffs 1010 took 2.6 s and 49 MB, tildetheta 2.4 s and 191 MB,
+# and columns 3.7 s and 69 MB (it holds all 2^jmax words of its top level,
+# and each step up doubles both)
 MAX_ORDER = 4000
 MAX_CELLS = 10_000_000
+MAX_COLUMN_JMAX = 16
 
 
 class UsageError(ValueError):
@@ -271,12 +274,11 @@ def cmd_theta(args: argparse.Namespace) -> Output:
             csv=lambda: [["j", "count"], [args.j, count]],
             text=lambda: [str(count)],
         )
-    poly = T_poly(args.p, args.n)
-    counts = [int(c) for c in poly.coeffs]
+    counts = _row_coeffs(args.p, args.n)
     return Output(
         json=_json_of(lambda: {"p": args.p, "n": args.n, "coefficients": counts}),
         csv=lambda: [["j", "count"], *enumerate(counts)],
-        text=lambda: [poly.text()],
+        text=lambda: [row_text(counts)],
     )
 
 
@@ -285,20 +287,20 @@ def cmd_theta(args: argparse.Namespace) -> Output:
 
 def cmd_rw(args: argparse.Namespace) -> Output:
     w = _parse_admissible(args.word, args.p)
-    rf = r_w_quotient(w)
+    num, den = canonical_rows(*_quotient_rows(w))
     return Output(
         json=_json_of(lambda: {
             "p": args.p,
             "word": str(w),
-            "numerator": [rational_to_str(c) for c in rf.num.coeffs],
-            "denominator": [rational_to_str(c) for c in rf.den.coeffs],
+            "numerator": ratio_strs(num),
+            "denominator": ratio_strs(den),
         }),
         csv=lambda: [
             ["part", "text"],
-            ["numerator", rf.num.text()],
-            ["denominator", rf.den.text()],
+            ["numerator", row_text(num)],
+            ["denominator", row_text(den)],
         ],
-        text=lambda: [str(rf)],
+        text=lambda: [quotient_text(num, den)],
     )
 
 
@@ -312,7 +314,19 @@ def cmd_coeffs(args: argparse.Namespace) -> Output:
     tol = _unit_tol(args)
     order = max(args.j, mono.weight)
     _check_size("series order", order, MAX_ORDER)
-    series = monomial_series(mono, order)
+    weight, den, nums = _monomial_offset(mono, order)
+    row = [0] * weight + nums + [0] * (order + 1 - weight - len(nums))
+    # Python's digit limit on str of an int guards the parsing of untrusted
+    # text, not ppk's own coefficients, so it is lifted while they are
+    # written (Python 3.10.0-3.10.6 has none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        coeffs = ratio_strs(row, den)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     total = None
     if args.sum:
         try:
@@ -325,7 +339,7 @@ def cmd_coeffs(args: argparse.Namespace) -> Output:
             "p": args.p,
             "monomial": str(mono),
             "order": order,
-            "coefficients": series.to_json(),
+            "coefficients": coeffs,
         }
         if total is not None:
             obj["sum"] = {
@@ -336,14 +350,13 @@ def cmd_coeffs(args: argparse.Namespace) -> Output:
 
     def as_csv():
         yield ["j", "coeff"]
-        for j, c in enumerate(series.coeffs):
-            yield [j, rational_to_str(c)]
+        yield from enumerate(coeffs)
         if total is not None:
             yield ["sum", repr(total.value)]
 
     def as_text():
-        for j, c in enumerate(series.coeffs):
-            yield f"{j}: {rational_to_str(c)}"
+        for j, c in enumerate(coeffs):
+            yield f"{j}: {c}"
         if total is not None:
             yield f"sum = {total.value!r} (error <= {total.error_bound!r})"
 
@@ -545,6 +558,7 @@ def cmd_columns(args: argparse.Namespace) -> Output:
         raise UsageError("column densities are implemented for p = 2 only")
     if args.tmax < 0 or args.jmax < 0 or args.mmax < 1:
         raise UsageError("need tmax >= 0, jmax >= 0 and mmax >= 1")
+    _check_size("jmax", args.jmax, MAX_COLUMN_JMAX)
     tol = _tol(args)
     reports = column_scan(
         args.tmax, args.jmax, args.mmax, tol=tol, jobs=_jobs(args)

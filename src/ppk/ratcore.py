@@ -19,8 +19,11 @@ sequences, exact integer quotients, and Yun's algorithm over Z behind a
 squarefree certificate modulo one prime.  No gcd, division or canonical form
 runs on ``Fraction``s.
 
-``signed_sum`` is the one text join of signed terms, shared by
-``PolyQ.text`` and ``synth.BlockPolynomial.text``.
+Commands print integer rows over one denominator, through ``row_text``,
+``quotient_text`` and ``ratio_strs``; the three types are the library's exact
+reference, and ``PolyQ.text`` and ``str`` of a ``RationalFunctionQ`` print
+through the same functions.  ``signed_sum`` is the one text join of signed
+terms, shared by ``row_text`` and ``synth.BlockPolynomial.text``.
 """
 
 from __future__ import annotations
@@ -41,9 +44,13 @@ __all__ = [
     "RationalFunctionQ",
     "poly_gcd",
     "squarefree_decomposition",
+    "canonical_rows",
     "signed_sum",
     "rational_to_str",
     "ratio_to_str",
+    "ratio_strs",
+    "row_text",
+    "quotient_text",
 ]
 
 
@@ -69,6 +76,40 @@ def signed_sum(terms: Iterable[tuple[Coefficient, str]]) -> str:
         else:
             parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts) or "0"
+
+
+def ratio_strs(row: Iterable[int], den: int = 1) -> list[str]:
+    """``ratio_to_str`` of each row[i] / den, reduced; den > 0."""
+    out = []
+    for c in row:
+        g = _igcd(c, den)
+        out.append(ratio_to_str(c // g, den // g))
+    return out
+
+
+def row_text(row: Sequence[int], den: int = 1, var: str = "x") -> str:
+    """The polynomial sum_i (row[i] / den) x^i in human form, e.g.
+    ``2 + x + 2x^2``, each coefficient reduced and zero terms skipped;
+    den > 0."""
+    terms: list[tuple[int, str]] = []
+    for i, (c, body) in enumerate(zip(row, ratio_strs(map(abs, row), den))):
+        if not c:
+            continue
+        if i:
+            xpow = var if i == 1 else f"{var}^{i}"
+            if body == "1":
+                body = xpow
+            elif "/" in body:
+                body += f"*{xpow}"
+            else:
+                body += xpow
+        terms.append((c, body))
+    return signed_sum(terms)
+
+
+def quotient_text(num: Sequence[int], den: Sequence[int]) -> str:
+    """The text form ``(num) / (den)`` of a quotient of integer rows."""
+    return f"({row_text(num)}) / ({row_text(den)})"
 
 
 class PolyQ:
@@ -197,23 +238,8 @@ class PolyQ:
 
     def text(self, var: str = "x") -> str:
         """Human form, e.g. ``2 + x + 2x^2``; zero terms are skipped."""
-        terms: list[tuple[Fraction, str]] = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = rational_to_str(mag)
-            else:
-                xpow = var if i == 1 else f"{var}^{i}"
-                if mag == 1:
-                    body = xpow
-                elif mag.denominator == 1:
-                    body = f"{mag.numerator}{xpow}"
-                else:
-                    body = f"{rational_to_str(mag)}*{xpow}"
-            terms.append((c, body))
-        return signed_sum(terms)
+        scale = _ilcm(*(c.denominator for c in self.coeffs))
+        return row_text(_int_row(self, scale), scale, var)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +409,21 @@ def squarefree_decomposition(f: PolyQ) -> list[tuple[PolyQ, int]]:
     return [(PolyQ(g).monic(), i) for g, i in _squarefree_rows(_int_row(f))]
 
 
+def canonical_rows(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The canonical form of the quotient num / den of integer rows (constant
+    term first, no trailing zeros), as integer rows: their primitive gcd
+    divided out (Gauss's lemma), then their joint content, with den(0) > 0.
+    Equal quotients give equal rows."""
+    if not den or not den[0]:
+        raise ValueError("denominator must not vanish at 0")
+    g = _gcd_rows(num, den)
+    n, d = _exact_quotient(num, g), _exact_quotient(den, g)
+    content = _igcd(*n, *d)
+    if d[0] < 0:
+        content = -content
+    return [c // content for c in n], [c // content for c in d]
+
+
 class SeriesQ:
     """Power series truncated at a fixed order (coefficients 0..order kept).
 
@@ -510,10 +551,6 @@ class SeriesQ:
             result = result + term
         return result
 
-    def to_json(self) -> list[str]:
-        """Degree-0-first array of exact rational strings."""
-        return [rational_to_str(c) for c in self.coeffs]
-
 
 class RationalFunctionQ:
     """Canonical quotient num/den of polynomials with den(0) != 0.
@@ -521,9 +558,8 @@ class RationalFunctionQ:
     Canonical form: the polynomial gcd is divided out, both parts are scaled
     by one common rational so all coefficients are integers of joint content
     1, and the denominator's constant term is positive.  Equal functions
-    therefore compare equal structurally.  It is computed on integer rows:
-    num and den over one common denominator, divided exactly by their
-    primitive gcd (Gauss's lemma), then by their joint content.
+    therefore compare equal structurally.  It is ``canonical_rows`` of num
+    and den over one common denominator.
     """
 
     __slots__ = ("num", "den")
@@ -539,20 +575,13 @@ class RationalFunctionQ:
         """num / den for integer coefficient rows (constant term first), with
         no ``Fraction`` on the way in."""
         rf = cls.__new__(cls)
-        rf._canonical(list(num), list(den))
+        rf._canonical(num, den)
         return rf
 
-    def _canonical(self, n: list[int], d: list[int]) -> None:
+    def _canonical(self, n: Sequence[int], d: Sequence[int]) -> None:
         """Set num and den to the canonical form of the integer rows n / d."""
-        if not d or not d[0]:
-            raise ValueError("denominator must not vanish at 0")
-        g = _gcd_rows(n, d)
-        n, d = _exact_quotient(n, g), _exact_quotient(d, g)
-        content = _igcd(*n, *d)
-        if d[0] < 0:
-            content = -content
-        self.num = PolyQ([c // content for c in n])
-        self.den = PolyQ([c // content for c in d])
+        n, d = canonical_rows(n, d)
+        self.num, self.den = PolyQ(n), PolyQ(d)
 
     @classmethod
     def from_poly(cls, poly: PolyQ) -> "RationalFunctionQ":
@@ -570,8 +599,9 @@ class RationalFunctionQ:
         return f"RationalFunctionQ({self.num!r}, {self.den!r})"
 
     def __str__(self) -> str:
-        """The ``ppk rw`` text form, ``(num) / (den)``."""
-        return f"({self.num.text()}) / ({self.den.text()})"
+        """The text form ``(num) / (den)``; both have integer coefficients."""
+        num, den = ([c.numerator for c in f.coeffs] for f in (self.num, self.den))
+        return quotient_text(num, den)
 
     def series(self, order: int) -> SeriesQ:
         return SeriesQ.from_poly(self.num, order) / SeriesQ.from_poly(self.den, order)

@@ -371,28 +371,49 @@ def monomials_up_to_weight(p: int, jmax: int) -> list[Monomial]:
 def monomial_series(mono: Monomial, order: int) -> SeriesQ:
     """Coefficient series of a monomial: prod (log r_w)^k / k!.
 
+    Coefficients below the total weight vanish; the order must reach the
+    weight so the first nonzero coefficient is representable.
+    """
+    return _to_series(_monomial_offset(mono, order), order)
+
+
+def _monomial_offset(mono: Monomial, order: int) -> _Offset:
+    """``monomial_series`` as an offset series, whose offset is the weight W.
+
     Each (log r_w)^k is raised by squaring, about 2 log_2 k products, and
-    divided once by k!.  Coefficients below the total weight vanish; the
-    order must reach the weight so the first nonzero coefficient is
-    representable.
+    divided once by k!.  Every series here is cut at its own offset plus
+    order - W, and that is exact to x^order.  The offsets add: log r_w has
+    offset m, the weight of w, a product has the sum of its factors'
+    offsets, so the finished factors (log r_w)^k / k! have offsets that add
+    up to W.  A term t places past the offset of its series is only ever
+    multiplied by terms at or past the other factors' offsets, so it lands
+    at x^(W + t) or later, past x^order when t > order - W.  And a product's
+    terms up to t past its offset read only its factors' terms up to t past
+    theirs.
     """
     if order < mono.weight:
         raise ValueError(
             f"order {order} is below the monomial weight {mono.weight}"
         )
+    slack = order - mono.weight
+
+    def times(a: _Offset, b: _Offset) -> _Offset:
+        return _times(a, b, 1, a[0] + b[0] + slack)
+
     s: _Offset = (0, 1, [1])
     for w, k in mono.factors:
-        base, power, e = _log_rw(w, order), (0, 1, [1]), k
+        m = len(w.digits) - 1
+        base, power, e = _log_rw(w, m + slack), (0, 1, [1]), k
         while True:
             if e & 1:
-                power = _times(power, base, 1, order)
+                power = times(power, base)
             e >>= 1
             if not e:
                 break
-            base = _times(base, base, 1, order)
+            base = times(base, base)
         wt, d, nums = power
-        s = _times(s, _reduced(wt, d * math.factorial(k), nums), 1, order)
-    return _to_series(s, order)
+        s = times(s, _reduced(wt, d * math.factorial(k), nums))
+    return s
 
 
 # a term as it is stored: its key, a numerator and a positive denominator

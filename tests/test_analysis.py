@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from ppk.analysis import (
     term_bound_asymptotic,
     term_bound_series,
 )
-from ppk.ratcore import PolyQ
+from ppk.ratcore import PolyQ, SeriesQ
 from ppk.synth import Monomial, log_rw_series, r_w_quotient
 from ppk.theta import Tbar
 from ppk.words import Word, enumerate_admissible, truncations
@@ -60,6 +61,22 @@ class TestTermBounds:
         bounds = term_bound_series(2, 40)
         assert bounds[:12] == BOUNDS_BASE2
         assert bounds[40] == 217134342730623
+
+    @staticmethod
+    def exp_route(p, j_max):
+        """B_0..B_{j_max} from ``SeriesQ.exp`` of the weight series' exponent
+        on Fractions: the reference for the integer Euler transform."""
+        coeffs = [Fraction(0)] * (j_max + 1)
+        for k in range(1, j_max + 1):
+            for m in range(1, j_max // k + 1):
+                coeffs[k * m] += Fraction((p - 1) ** 2, k) * p ** (m - 1)
+        return list(itertools.accumulate(SeriesQ(j_max, coeffs).exp().coeffs))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_bound_matches_exp_route(self, p):
+        want = self.exp_route(p, 40)
+        for j in range(41):
+            assert term_bound_series(p, j) == want[: j + 1], j
 
     def test_bound_monotone_and_integral(self):
         for p in (2, 3, 5):

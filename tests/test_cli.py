@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,10 @@ from jsonschema import Draft202012Validator
 import ppk.cli as cli_module
 from ppk import synth
 from ppk.analysis import term_bound_series
-from ppk.cli import CAPS, SUPPORTED_PRIMES, main
+from ppk.cli import CAPS, MAX_COLUMN_JMAX, SUPPORTED_PRIMES, main
+from ppk.ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
+from ppk.theta import T_poly
+from ppk.words import enumerate_admissible
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "docs" / "schemas"
@@ -484,9 +489,15 @@ class TestExitCodes:
              "of 10000000"),
             (["tildetheta", "--kmax", "9" * 4300, "--nmax", "9" * 4300],
              "table size (kmax + 1)(nmax + 1) is above the limit of 10000000"),
+            (["columns", "--tmax", "1", "--jmax", str(MAX_COLUMN_JMAX + 1),
+              "--mmax", "4"],
+             f"jmax {MAX_COLUMN_JMAX + 1} is above the limit of {MAX_COLUMN_JMAX}"),
+            (["columns", "--tmax", "1", "--jmax", "40", "--mmax", "4"],
+             f"jmax 40 is above the limit of {MAX_COLUMN_JMAX}"),
         ],
         ids=["coeffs-weight", "coeffs-j", "coeffs-huge-weight",
-             "tildetheta-cells", "tildetheta-huge-cells"],
+             "tildetheta-cells", "tildetheta-huge-cells", "columns-jmax",
+             "columns-jmax-40"],
     )
     def test_oversized_input_is_refused_before_building(self, argv, message):
         # a size that would allocate without bound is rejected input; the
@@ -800,6 +811,134 @@ class TestHighOrderGoldens:
         )
         assert run.returncode == 0
         assert hashlib.sha256(run.stdout).hexdigest() == self.SHA256[command]
+
+
+# every command, with each of its shapes; each runs in every format
+EVERY_COMMAND = [
+    ("poly", "--j", "4"),
+    ("poly", "--j", "4", "--cumulative"),
+    ("theta", "--n", "100"),
+    ("theta", "--n", "100", "--j", "2"),
+    ("rw", "--word", "110"),
+    ("coeffs", "--monomial", "10^2*110"),
+    ("coeffs", "--monomial", "10", "--sum"),
+    ("terms", "--jmax", "5"),
+    ("classify", "--word", "100"),
+    ("classify", "--maxlen", "5"),
+    ("tildetheta", "--kmax", "3", "--nmax", "5"),
+    ("verify", "--nmax", "64"),
+    ("columns", "--tmax", "4", "--jmax", "3", "--mmax", "256"),
+]
+
+
+class TestIntegerRows:
+    # commands print the integer rows they compute; the Fraction types are
+    # the exact reference that those rows are checked against here
+    def test_no_reference_type_runs(self, cli):
+        methods = {}
+        for cls in (PolyQ, SeriesQ, RationalFunctionQ):
+            for name, attr in vars(cls).items():
+                fn = getattr(attr, "__func__", getattr(attr, "fget", attr))
+                if hasattr(fn, "__code__"):
+                    methods[fn.__code__] = f"{cls.__name__}.{name}"
+        ran = set()
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in methods:
+                ran.add(methods[frame.f_code])
+
+        synth.block_polynomials_up_to.cache_clear()
+        synth._level_index.cache_clear()
+        for argv in EVERY_COMMAND:
+            for fmt in ("text", "json", "csv"):
+                sys.setprofile(hook)
+                try:
+                    code, _, _ = cli(*argv, "--format", fmt)
+                finally:
+                    sys.setprofile(None)
+                assert code == 0, argv
+        assert not ran, sorted(ran)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rw_prints_the_quotient(self, cli, p):
+        # every admissible word of length <= 6
+        for w in enumerate_admissible(p, 5):
+            rf = synth.r_w_quotient(w)
+            argv = ("rw", "--p", str(p), "--word", str(w), "--format")
+            assert cli(*argv, "text") == (0, f"{rf}\n", "")
+            code, out, _ = cli(*argv, "json")
+            assert json.loads(out) == {
+                "p": p,
+                "word": str(w),
+                "numerator": [rational_to_str(c) for c in rf.num.coeffs],
+                "denominator": [rational_to_str(c) for c in rf.den.coeffs],
+            }
+            assert cli(*argv, "csv") == (0, (
+                f"part,text\r\nnumerator,{rf.num.text()}\r\n"
+                f"denominator,{rf.den.text()}\r\n"
+            ), "")
+
+    @pytest.mark.parametrize(
+        "monomial, order",
+        [("10^300", 300), ("10^300", 340), ("110^100", 200),
+         ("10^3*100^2*1010", 40)],
+    )
+    def test_coeffs_prints_the_series(self, cli, monomial, order):
+        mono = cli_module._parse_monomial(monomial, 2)
+        want = [rational_to_str(c) for c in synth.monomial_series(mono, order).coeffs]
+        argv = ("coeffs", "--monomial", monomial, "--j", str(order), "--format")
+        code, out, _ = cli(*argv, "json")
+        assert code == 0 and json.loads(out)["coefficients"] == want
+        code, out, _ = cli(*argv, "text")
+        assert code == 0 and out == "".join(f"{j}: {c}\n" for j, c in enumerate(want))
+        code, out, _ = cli(*argv, "csv")
+        assert code == 0
+        assert out == "j,coeff\r\n" + "".join(f"{j},{c}\r\n" for j, c in enumerate(want))
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_theta_prints_the_row_polynomial(self, cli, p):
+        for n in (0, 1, p, 100, 12345, 2**64 + 1):
+            want = T_poly(p, n)
+            argv = ("theta", "--p", str(p), "--n", str(n), "--format")
+            assert cli(*argv, "text") == (0, f"{want.text()}\n", "")
+            code, out, _ = cli(*argv, "json")
+            assert json.loads(out)["coefficients"] == list(want.coeffs)
+
+
+class TestLongCoefficients:
+    # the x^1450 coefficient of X[10]^1450 is 1/(2^1450 1450!), whose
+    # denominator has more digits than str of an int allows by default
+    DEN = 2**1450 * math.factorial(1450)
+
+    def test_printed_in_a_child(self):
+        run = subprocess.run(
+            [sys.executable, "-m", "ppk", "coeffs", "--monomial", "10^1450",
+             "--format", "json"],
+            capture_output=True, env=SRC_ENV, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr[-300:]
+        coeffs = json.loads(run.stdout)["coefficients"]
+        assert coeffs[:-1] == ["0"] * 1450
+        num, den = coeffs[-1].split("/")
+        # Decimal parses and compares exactly, with no digit limit
+        assert num == "1" and den.isdigit() and Decimal(den) == self.DEN
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int digit limit",
+    )
+    def test_limit_is_restored(self, cli):
+        # main lifts the limit to write the coefficients and then puts back
+        # whatever it found, here the lowest limit Python accepts
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, _ = cli("coeffs", "--monomial", "10^1450", "--format", "csv")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert code == 0
+        assert Decimal(out.splitlines()[-1].removeprefix("1450,1/")) == self.DEN
 
 
 class TestImports:

@@ -369,11 +369,6 @@ class TestSeriesQ:
         assert SeriesQ.from_poly(f, 4).coeffs == (1, 2, 3, 0, 0)
         assert SeriesQ.from_poly(f, 1).coeffs == (1, 2)
 
-    def test_json_round_trip(self):
-        s = SeriesQ(3, (1, Fraction(-1, 2), 0, Fraction(5, 3)))
-        assert s.to_json() == ["1", "-1/2", "0", "5/3"]
-
-
 class TestRationalFunctionQ:
     def test_canonical_form(self):
         # common factor and rational scaling are both removed
