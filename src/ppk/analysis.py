@@ -343,7 +343,7 @@ def closed_form_family(s: int, variant: str) -> tuple[RationalFunctionQ, FamilyR
     if variant == "ones_zero":
         w = Word(2, (1,) * s + (0,))
         form = RationalFunctionQ(_one_minus_half_pow(s + 1), _one_minus_half_pow(1))
-        matches = form == RationalFunctionQ.from_poly(Tbar(2, w))
+        matches = form == RationalFunctionQ(Tbar(2, w))
         roots = tuple(poly_roots(form.num))
         return form, FamilyRootReport(variant, s, matches, roots, None, None, None, None)
     if variant == "ones_zero_zero":

@@ -62,10 +62,17 @@ CAPS_TEXT = ", ".join(map(str, CAPS.values())) + " at p = " + ", ".join(map(str,
 # size limits, so that no input allocates without bound; at the limits, on a
 # 2-core box, coeffs 1010 took 2.6 s and 49 MB, tildetheta 2.4 s and 191 MB,
 # and columns 3.7 s and 69 MB (it holds all 2^jmax words of its top level,
-# and each step up doubles both)
+# and each step up doubles both).  classify and verify are bounded by the
+# words they hold, which grow p-fold per unit of maxlen or base-p digit of
+# nmax: the largest admitted took 5.0 s and 72 MB (classify --p 2 --maxlen
+# 14), and verify --p 2 --nmax 32768 23 s and 160 MB (--p 7 --nmax 16807,
+# 6.2 s and 233 MB); 100,000 columns report rows took up to 10 s and 118 MB
 MAX_ORDER = 4000
 MAX_CELLS = 10_000_000
 MAX_COLUMN_JMAX = 16
+MAX_CLASSIFY_WORDS = 10_000
+MAX_VERIFY_WORDS = 20_000
+MAX_COLUMN_ROWS = 100_000
 
 
 class UsageError(ValueError):
@@ -371,6 +378,13 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 
     if args.nmax < 1:
         raise UsageError("nmax must be >= 1")
+    # the scan builds P_0..P_J, J the highest valuation below nmax, and so
+    # the log r_w series of every word of level J; p^J < nmax
+    top = 1
+    while top * args.p < args.nmax:
+        top *= args.p
+    words = (args.p - 1) * (top - 1)
+    _check_size("level words (p - 1)(p^J - 1), p^J < nmax,", words, MAX_VERIFY_WORDS)
     report = equivalence_report(args.p, args.nmax, jobs=_jobs(args))
     checks = [
         ("valuation triple", report.triple_ok, report.triple_counterexample),
@@ -494,6 +508,11 @@ def cmd_classify(args: argparse.Namespace) -> Output:
         )
     if args.maxlen < 2:
         raise UsageError("maxlen must be >= 2")
+    # the count is at least 2^(maxlen - 1) - 1, so past length 4 _SHOWN it
+    # has more than _SHOWN digits at every p, and is neither shown nor admitted
+    length = min(args.maxlen, 4 * _SHOWN)
+    words = (args.p - 1) * (args.p ** (length - 1) - 1)
+    _check_size("word count (p - 1)(p^(maxlen - 1) - 1)", words, MAX_CLASSIFY_WORDS)
     report = scan_convergent_words(args.p, args.maxlen, tol=tol)
     families = sorted(report.families.items())
 
@@ -559,6 +578,8 @@ def cmd_columns(args: argparse.Namespace) -> Output:
     if args.tmax < 0 or args.jmax < 0 or args.mmax < 1:
         raise UsageError("need tmax >= 0, jmax >= 0 and mmax >= 1")
     _check_size("jmax", args.jmax, MAX_COLUMN_JMAX)
+    rows = (args.tmax + 1) * (args.jmax + 1)
+    _check_size("report rows (tmax + 1)(jmax + 1)", rows, MAX_COLUMN_ROWS)
     tol = _tol(args)
     reports = column_scan(
         args.tmax, args.jmax, args.mmax, tol=tol, jobs=_jobs(args)

@@ -487,12 +487,21 @@ class VerifyReport:
 
     p: int
     n_max: int
-    triple_ok: bool
     triple_counterexample: tuple[int, int] | None
-    rows_ok: bool
     rows_counterexample: int | None
-    poly_ok: bool
     poly_counterexample: tuple[int, int] | None
+
+    @property
+    def triple_ok(self) -> bool:
+        return self.triple_counterexample is None
+
+    @property
+    def rows_ok(self) -> bool:
+        return self.rows_counterexample is None
+
+    @property
+    def poly_ok(self) -> bool:
+        return self.poly_counterexample is None
 
     @property
     def ok(self) -> bool:
@@ -534,13 +543,4 @@ def equivalence_report(p: int, n_max: int, jobs: int = 1) -> VerifyReport:
     if poly_bad is None:
         poly_bad = _first_difference(p, j_top)
 
-    return VerifyReport(
-        p,
-        n_max,
-        triple_bad is None,
-        triple_bad,
-        rows_bad is None,
-        rows_bad,
-        poly_bad is None,
-        poly_bad,
-    )
+    return VerifyReport(p, n_max, triple_bad, rows_bad, poly_bad)

@@ -7,10 +7,9 @@ Three value types:
 * :class:`RationalFunctionQ` -- canonical quotients of polynomials that are
   defined at 0.
 
-Coefficients are `fractions.Fraction` throughout (re-exported as
-``Rational``); every operation is exact and every object immutable.  Series
-refuse mixed-order arithmetic so a silent truncation bug becomes a loud
-error.
+Coefficients are `fractions.Fraction` throughout; every operation is exact
+and every object immutable.  Series refuse mixed-order arithmetic so a
+silent truncation bug becomes a loud error.
 
 ``poly_gcd``, ``squarefree_decomposition`` and the canonical form of
 ``RationalFunctionQ`` take and return ``PolyQ``, but inside they clear
@@ -33,12 +32,9 @@ from math import gcd as _igcd
 from math import lcm as _ilcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Coefficient = Union[Fraction, int]
 
 __all__ = [
-    "Rational",
     "PolyQ",
     "SeriesQ",
     "RationalFunctionQ",
@@ -122,10 +118,6 @@ class PolyQ:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: Coefficient) -> "PolyQ":
-        return cls((c,))
 
     @classmethod
     def monomial(cls, c: Coefficient, degree: int) -> "PolyQ":
@@ -582,10 +574,6 @@ class RationalFunctionQ:
         """Set num and den to the canonical form of the integer rows n / d."""
         n, d = canonical_rows(n, d)
         self.num, self.den = PolyQ(n), PolyQ(d)
-
-    @classmethod
-    def from_poly(cls, poly: PolyQ) -> "RationalFunctionQ":
-        return cls(poly, PolyQ((1,)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunctionQ):

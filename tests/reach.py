@@ -12,9 +12,12 @@ Run from anywhere, with no arguments:
     python3 tests/reach.py
 
 This file is a script, not a test module: pytest does not collect it.
-Everything runs in one process (``verify`` and ``columns`` with one job), so
-code that only a forked worker runs would count as unreached; with one job
-the scans run the same functions in this process instead.
+The hook sees only this process.  ``verify`` and ``columns`` run also with
+``--jobs 2``, so the parent's side of a forked scan counts: ``_spread`` forks
+through ``_fork_run`` and reaps the child.  Only the child's branch of
+``_fork_run`` stays out of sight, and the scan forks only on a machine with
+at least 2 CPUs this process may use (``oracle._runs`` caps the runs by
+them); with one job the scans run the same functions in this process.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ COMMANDS = [
     *(["classify", "--maxlen", "5", "--format", f] for f in FORMATS),
     *(["verify", "--nmax", "64", "--format", f] for f in FORMATS),
     ["verify", "--p", "3", "--nmax", "27"],
+    ["verify", "--nmax", "64", "--jobs", "2"],
     *(["columns", "--tmax", "4", "--jmax", "3", "--mmax", "256", "--format", f]
       for f in FORMATS),
+    ["columns", "--tmax", "4", "--jmax", "3", "--mmax", "256", "--jobs", "2"],
     # rejected inputs: exit 2
     ["rw", "--word", "11"],
     ["coeffs", "--monomial", "10^x"],

@@ -15,7 +15,15 @@ from jsonschema import Draft202012Validator
 import ppk.cli as cli_module
 from ppk import synth
 from ppk.analysis import term_bound_series
-from ppk.cli import CAPS, MAX_COLUMN_JMAX, SUPPORTED_PRIMES, main
+from ppk.cli import (
+    CAPS,
+    MAX_CLASSIFY_WORDS,
+    MAX_COLUMN_JMAX,
+    MAX_COLUMN_ROWS,
+    MAX_VERIFY_WORDS,
+    SUPPORTED_PRIMES,
+    main,
+)
 from ppk.ratcore import PolyQ, RationalFunctionQ, SeriesQ, rational_to_str
 from ppk.theta import T_poly
 from ppk.words import enumerate_admissible
@@ -517,6 +525,52 @@ class TestExitCodes:
         assert (run.returncode, run.stdout) == (2, b""), run.stderr[-300:]
         assert len(run.stderr) < 300
         assert run.stderr == f"error: {message}\n".encode()
+
+    @pytest.mark.parametrize(
+        "builder, refused, size, limit, admitted",
+        [
+            ("ppk.analysis.enumerate_admissible",
+             ["classify", "--maxlen", "40"],
+             "word count (p - 1)(p^(maxlen - 1) - 1) 549755813887",
+             MAX_CLASSIFY_WORDS, ["classify", "--maxlen", "14"]),
+            ("ppk.analysis.enumerate_admissible",
+             ["classify", "--p", "7", "--maxlen", "12"],
+             "word count (p - 1)(p^(maxlen - 1) - 1) 11863960452",
+             MAX_CLASSIFY_WORDS, ["classify", "--p", "7", "--maxlen", "4"]),
+            ("ppk.analysis.enumerate_admissible",
+             ["classify", "--maxlen", "9" * 4300],
+             "word count (p - 1)(p^(maxlen - 1) - 1)",
+             MAX_CLASSIFY_WORDS, ["classify", "--p", "3", "--maxlen", "8"]),
+            ("ppk.oracle._triple_chunk",
+             ["verify", "--nmax", "1000000000000"],
+             "level words (p - 1)(p^J - 1), p^J < nmax, 549755813887",
+             MAX_VERIFY_WORDS, ["verify", "--nmax", "32768"]),
+            ("ppk.oracle._triple_chunk",
+             ["verify", "--p", "7", "--nmax", "16808"],
+             "level words (p - 1)(p^J - 1), p^J < nmax, 100836",
+             MAX_VERIFY_WORDS, ["verify", "--p", "7", "--nmax", "16807"]),
+            ("ppk.oracle.column_scan",
+             ["columns", "--tmax", "100000000000", "--jmax", "2", "--mmax", "4"],
+             "report rows (tmax + 1)(jmax + 1) 300000000003",
+             MAX_COLUMN_ROWS,
+             ["columns", "--tmax", "19999", "--jmax", "4", "--mmax", "4"]),
+        ],
+        ids=["classify-maxlen-40", "classify-p7", "classify-huge-maxlen",
+             "verify-nmax", "verify-p7", "columns-rows"],
+    )
+    def test_word_and_row_counts_are_limited(
+        self, cli, monkeypatch, builder, refused, size, limit, admitted
+    ):
+        # the builder raises, so a refusal shows that it never ran, and the
+        # largest admitted size reaches it; columns stands in for the whole
+        # scan, since a scan of 10^11 columns allocates before column_check
+        monkeypatch.setattr(builder, Refuse(builder))
+        code, out, err = cli(*refused)
+        assert (code, out) == (2, "")
+        assert err == f"error: {size} is above the limit of {limit}\n"
+        assert len(err) < 300
+        with pytest.raises(AssertionError, match=builder):
+            main(admitted)
 
     def test_verification_failure_returns_one(self, cli):
         # an odd window makes the sampled densities miss the exact values

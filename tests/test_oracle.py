@@ -1,6 +1,7 @@
 """Brute-force cross checks: valuation routes, row histograms, columns."""
 
 import array
+import dataclasses
 import math
 import os
 import random
@@ -387,6 +388,14 @@ class TestEquivalence:
         assert rep.triple_ok and rep.triple_counterexample is None
         assert rep.rows_ok and rep.rows_counterexample is None
         assert rep.poly_ok and rep.poly_counterexample is None
+
+    def test_each_verdict_is_stored_once(self):
+        # the *_ok verdicts are properties of the counterexamples
+        names = [f.name for f in dataclasses.fields(oracle.VerifyReport)]
+        assert names == [
+            "p", "n_max", "triple_counterexample", "rows_counterexample",
+            "poly_counterexample",
+        ]
 
     def test_parallel_matches_serial(self):
         assert equivalence_report(2, 220, jobs=2) == equivalence_report(2, 220)

@@ -108,7 +108,7 @@ class TestPolyQ:
 
     def test_monomial_and_constant(self):
         assert PolyQ.monomial(5, 3) == PolyQ([0, 0, 0, 5])
-        assert PolyQ.constant(Fraction(1, 3))(10) == Fraction(1, 3)
+        assert PolyQ([Fraction(1, 3)])(10) == Fraction(1, 3)
         with pytest.raises(ValueError):
             PolyQ.monomial(1, -1)
 

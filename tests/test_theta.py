@@ -1,9 +1,13 @@
 """Row counts by exact prime-power divisibility and their reindexed tables."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +223,21 @@ def test_submodule_not_shadowed():
 
     assert isinstance(m, types.ModuleType)
     assert m.theta(2, 3, 8) == 4
+
+
+def test_package_root_imports_nothing():
+    # in a fresh interpreter: the root binds no library name and loads no
+    # submodule, so ppk.words loads only itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, ppk\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('ppk'))\n"
+        "print(sorted(k for k in vars(ppk) if not k.startswith('__')), loaded())\n"
+        "import ppk.words\n"
+        "print(loaded())\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert run.stdout == "[] ['ppk']\n['ppk', 'ppk.words']\n"
