@@ -1,16 +1,18 @@
 """Term-count bounds, coefficient asymptotics, and convergence analysis.
 
-Everything numeric lives here.  The coefficient series of a variable X_w is
-log r_w, a log of a rational function, so its coefficients are controlled by
-the inverse roots xi_i of numerator and denominator:
+The coefficient series of a variable X_w is log r_w, a log of a rational
+function, so its coefficients are controlled by the inverse roots xi_i of
+numerator and denominator:
 
     [x^n] log r = -(1/n) sum_i eps_i xi_i^n,
 
 with eps_i = +multiplicity for numerator roots and - for denominator roots.
 The series of X_w therefore converges absolutely at 1 when every |xi_i| < 1
-and diverges when some |xi_i| > 1.  Verdicts here are three-state: roots too
-close to the unit circle give "boundary", never a silent call either way;
-such words are left for exact follow-up.
+and diverges when some |xi_i| > 1.  Verdicts here are three-state, with a
+"boundary" band of width tol around the unit circle that is never silently
+called either way, and they are exact: each comes from counting the roots
+of integer rows inside rational circles (``disk_root_count``), never from
+a float.  numpy serves only the printed root floats.
 
 Also here: the exact generating-function bound B_j on the number of terms of
 the level polynomials with its leading-order asymptotic form, and the closed
@@ -22,13 +24,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import PolyQ, RationalFunctionQ, _int_row, _squarefree_rows
+from .ratcore import PolyQ, RationalFunctionQ, _int_row, _prem, _squarefree_rows
 from .synth import Monomial, _rw_parts, r_w_quotient
-from .theta import Tbar
-from .words import Word, enumerate_admissible
+from .theta import Tbar, _row_coeffs
+from .words import Word, enumerate_admissible, truncations
 
 __all__ = [
     "AsymptoticConstants",
@@ -41,6 +44,7 @@ __all__ = [
     "term_bound_series",
     "term_bound_asymptotic",
     "poly_roots",
+    "disk_root_count",
     "classify_word",
     "log_rat_coeff_exact",
     "scan_convergent_words",
@@ -134,6 +138,157 @@ def _row_roots(row: list[int]) -> list[tuple[complex, int]]:
     return out
 
 
+def _shift(row: list[int]) -> None:
+    """row(x) -> row(x + 1) in place, by Horner steps (Taylor shift)."""
+    for i in range(len(row) - 1):
+        for j in range(len(row) - 2, i - 1, -1):
+            row[j] += row[j + 1]
+
+
+def _sturm(p: list[int], q: list[int]) -> tuple[int, list[int]]:
+    """The Cauchy index of q / p over the real line, and gcd(p, q).
+
+    By Sturm's theorem the index is V(-inf) - V(+inf), the sign variations
+    of the signed remainder sequence p, q, -rem(p, q), ... at either end;
+    it holds whatever the degrees and common factors (Basu, Pollack and
+    Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58).  The last
+    member of the sequence is the gcd.  p is nonzero.
+    """
+    seq = [p]
+    while q:
+        seq.append(q)
+        rem = _prem(p, q)
+        g = -math.gcd(*rem)
+        p, q = q, [c // g for c in rem]
+    plus = [f[-1] > 0 for f in seq]
+    minus = [(f[-1] > 0) == (len(f) % 2 == 1) for f in seq]
+    var = lambda signs: sum(u != v for u, v in zip(signs, signs[1:]))
+    return var(minus) - var(plus), seq[-1]
+
+
+def _real_root_count(f: list[int]) -> int:
+    """The real roots of f with multiplicity: each pass of Sturm's theorem
+    counts the distinct real roots of f, and a root of multiplicity k is
+    one of gcd(f, f') with multiplicity k - 1."""
+    total = 0
+    while len(f) > 1:
+        distinct, f = _sturm(f, [i * c for i, c in enumerate(f)][1:])
+        total += distinct
+    return total
+
+
+def disk_root_count(row: Sequence[int], radius: Fraction | int = 1) -> tuple[int, int]:
+    """Roots of a nonzero integer row in |x| < radius and on |x| = radius.
+
+    Both counts are exact and with multiplicity.  The row is scaled to the
+    unit circle, and the Moebius map x = (1 + s) / (1 - s) sends the disk
+    to the half-plane Re s < 0 and its circle to the imaginary axis (and
+    x = -1 to s = infinity, which drops the degree m of the image h).  With
+    h(i w) = R(w) + i I(w), the roots of h on the axis are the real roots
+    of gcd(R, I), and the others satisfy n_left - n_right = Ind(R / I) for
+    odd m and -Ind(I / R) for even m (Routh-Hurwitz); pairs mirrored in the
+    axis add to both sides alike.  A Sturm sequence gives the index, so no
+    root is ever approximated.
+    """
+    radius = Fraction(radius)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    if not row:
+        raise ValueError("the zero row has no finite root count")
+    zeros = 0
+    while not row[zeros]:
+        zeros += 1
+    row = row[zeros:]
+    n = len(row) - 1
+    a, b = radius.numerator, radius.denominator
+    if b != 1 or a != 1:
+        row = [c * a**k * b ** (n - k) for k, c in enumerate(row)]
+    # q(z) = row(2z - 1), then H(t) = rev q(t + 1), so h(s) = H(-s)
+    row = [-c if k % 2 else c for k, c in enumerate(row)]
+    _shift(row)
+    row = [(-c if k % 2 else c) << k for k, c in enumerate(row)]
+    row.reverse()
+    _shift(row)
+    while not row[-1]:
+        row.pop()
+    m = len(row) - 1
+    # (i w)^k is w^k times 1, i, -1, -i, and h_k = (-1)^k H_k
+    re = [(c, 0, -c, 0)[k % 4] for k, c in enumerate(row)]
+    im = [(0, -c, 0, c)[k % 4] for k, c in enumerate(row)]
+    for f in re, im:
+        while f and not f[-1]:
+            f.pop()
+    if m % 2:
+        diff, axis = _sturm(im, re)
+    else:
+        index, axis = _sturm(re, im)
+        diff = -index
+    on = _real_root_count(axis)
+    return zeros + (m - on + diff) // 2, on + n - m
+
+
+def _radii(tol: float) -> tuple[Fraction, Fraction]:
+    """r1 = 1/fl(1 + tol) and r2 = 1/fl(1 - tol), the float sums exact."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    if tol >= 1:
+        raise ValueError("tol must be below 1, or no word can classify convergent")
+    return 1 / Fraction(1 + tol), 1 / Fraction(1 - tol)
+
+
+# cheap dyadic radii, in bits, tried before the exact r1 or r2
+_DYADIC_BITS = (3, 8, 24)
+
+_CLASSES = ("convergent", "boundary", "divergent")
+
+
+def _row_class(row: list[int], r1: Fraction, r2: Fraction) -> int:
+    """The index in _CLASSES of a row whose least root modulus is m:
+    divergent for m < r1, convergent for m > r2, boundary between.
+
+    The unit circle decides which side matters; a dyadic radius below r1
+    can only prove divergence, one above r2 only convergence, and r1 or
+    r2 itself decides the rest.
+    """
+    inside, on = disk_root_count(row)
+    if not inside and on:
+        return 1
+    if inside:
+        for k in _DYADIC_BITS:
+            below = Fraction((r1.numerator << k) // r1.denominator, 1 << k)
+            if disk_root_count(row, below)[0]:
+                return 2
+        return 2 if disk_root_count(row, r1)[0] else 1
+    for k in _DYADIC_BITS:
+        above = Fraction(-(-(r2.numerator << k) // r2.denominator), 1 << k)
+        if disk_root_count(row, above) == (0, 0):
+            return 0
+    return 0 if disk_root_count(row, r2) == (0, 0) else 1
+
+
+def _verdict(w: Word, r1: Fraction, r2: Fraction, truncated: dict[int, int]) -> str:
+    """The class of an admissible word: the worst of its rows.
+
+    The roots of b D are those of T_{w_L} and T_{w_R}, whose classes are
+    kept in ``truncated`` by value; N is classified only when neither
+    makes the word divergent.
+    """
+    if not w.is_admissible:
+        raise ValueError(f"classification needs an admissible word: {w}")
+    worst = 0
+    for u in truncations(w)[:2]:
+        cls = truncated.get(u.value)
+        if cls is None:
+            cls = truncated[u.value] = _row_class(_row_coeffs(w.p, u.value), r1, r2)
+        worst = max(worst, cls)
+    if worst < 2:
+        worst = max(worst, _row_class(_rw_parts(w)[0], r1, r2))
+    return _CLASSES[worst]
+
+
 @dataclass(frozen=True)
 class RootProfile:
     """Root data of r_w in lowest terms with the convergence verdict.
@@ -155,41 +310,39 @@ class RootProfile:
     coefficient_sum: float | None
 
 
-def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
-    """Convergence verdict for the coefficient series of X_w.
-
-    divergent when max |xi| > 1 + tol, convergent when < 1 - tol, boundary in
-    between.  tol must lie in (0, 1), since at tol >= 1 no word could be
-    convergent.  Convergent words get coefficient_sum = log r_w(1) attached
-    (valid up to the radius, and at 1 by continuity).
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-    if tol >= 1:
-        raise ValueError("tol must be below 1, or no word can classify convergent")
-    if not w.is_admissible:
-        raise ValueError(f"classification needs an admissible word: {w}")
+def _root_profile(w: Word, verdict: str) -> RootProfile:
+    """The root floats of r_w, by ``numpy.roots``, around an exact verdict."""
     num, den = _rw_parts(w)
     zeros = tuple(_row_roots(num))
     poles = tuple(_row_roots(den))
     # N = b D + a c x^m with a, c > 0 has degree >= m >= 1: roots is never empty
     roots = zeros + poles
     radius = min(abs(r) for r, _ in roots)
-    max_xi = 1.0 / radius
     nearest = [r for r, _ in roots if abs(r) <= radius * (1 + 1e-9)]
     dominant = min(nearest, key=lambda r: abs(r.imag))
     dominant = complex(dominant.real, abs(dominant.imag))
-    if max_xi > 1 + tol:
-        verdict = "divergent"
-    elif max_xi >= 1 - tol:
-        verdict = "boundary"
-    else:
-        verdict = "convergent"
     r_at_one = Fraction(sum(num), sum(den))
     total = math.log(r_at_one) if verdict == "convergent" else None
     return RootProfile(
-        w, zeros, poles, max_xi, radius, dominant, verdict, r_at_one, total
+        w, zeros, poles, 1.0 / radius, radius, dominant, verdict, r_at_one, total
     )
+
+
+def classify_word(w: Word, tol: float = 1e-6) -> RootProfile:
+    """Convergence verdict for the coefficient series of X_w.
+
+    With r1 = 1/fl(1 + tol) and r2 = 1/fl(1 - tol) as exact fractions, w is
+    divergent when some root of N, T_{w_L} or T_{w_R} has |x| < r1,
+    boundary when otherwise some root has |x| <= r2, and convergent when
+    none does: the float comparisons max |xi| > 1 + tol and >= 1 - tol,
+    decided on exact root counts.  tol must lie in (0, 1), since at
+    tol >= 1 no word could be convergent.  The root floats come from
+    ``numpy.roots`` and decide nothing.  Convergent words get
+    coefficient_sum = log r_w(1) attached (valid up to the radius, and at
+    1 by continuity).
+    """
+    r1, r2 = _radii(tol)
+    return _root_profile(w, _verdict(w, r1, r2, {}))
 
 
 def log_rat_coeff_exact(profile: RootProfile, n: int) -> complex:
@@ -224,7 +377,12 @@ class ScanReport:
     exceptional: tuple[Word, ...]
     boundary: tuple[Word, ...]
     divergent_count: int
-    profiles: tuple[RootProfile, ...]
+    verdicts: tuple[tuple[Word, str], ...]
+
+    @property
+    def profiles(self) -> tuple[RootProfile, ...]:
+        """Each word's root floats, found on demand by ``numpy.roots``."""
+        return tuple(_root_profile(w, verdict) for w, verdict in self.verdicts)
 
 
 def _family_name(w: Word) -> str | None:
@@ -251,44 +409,46 @@ def _family_name(w: Word) -> str | None:
 def scan_convergent_words(p: int, max_len: int, tol: float = 1e-6) -> ScanReport:
     """Classify all admissible words of length <= max_len.
 
-    Words whose series can converge (everything not divergent) are
-    partitioned into the three known families and an exceptional remainder.
-    Boundary words stay flagged in their own list as well: they enter the
-    partition as convergence candidates but are never silently promoted, and
-    need exact follow-up.  The base-2 scan to length 12 flags four: 100,
-    10011110, 10011111110 and 100111111110; all four have exact
-    certificates in the tests.
+    Each verdict is ``classify_word``'s exact rule, with the classes of the
+    truncation rows shared between words; no root is approximated, and
+    numpy is not loaded until ``profiles`` is read.  Words whose series can
+    converge (everything not divergent) are partitioned into the three
+    known families and an exceptional remainder.  Boundary words stay
+    flagged in their own list as well: they enter the partition as
+    convergence candidates but are never silently promoted.  The base-2
+    scan to length 12 flags four: 100, 10011110, 10011111110 and
+    100111111110; all four have roots exactly on the unit circle, and
+    exact certificates in the tests.
     """
+    r1, r2 = _radii(tol)
     words = enumerate_admissible(p, max_len - 1)
-    profiles = tuple(classify_word(w, tol) for w in words)
-    convergent = tuple(pr.word for pr in profiles if pr.classification == "convergent")
-    boundary = tuple(pr.word for pr in profiles if pr.classification == "boundary")
-    divergent_count = sum(pr.classification == "divergent" for pr in profiles)
+    truncated: dict[int, int] = {}
+    verdicts = tuple((w, _verdict(w, r1, r2, truncated)) for w in words)
     families: dict[str, list[Word]] = {
         "ones_zero": [],
         "ones_zero_zero": [],
         "ones_zero_ones_zero": [],
     }
     exceptional: list[Word] = []
-    for pr in profiles:
-        if pr.classification == "divergent":
+    for w, verdict in verdicts:
+        if verdict == "divergent":
             continue
-        fam = _family_name(pr.word)
+        fam = _family_name(w)
         if fam is None:
-            exceptional.append(pr.word)
+            exceptional.append(w)
         else:
-            families[fam].append(pr.word)
+            families[fam].append(w)
     return ScanReport(
         p,
         max_len,
         tol,
         len(words),
-        convergent,
+        tuple(w for w, verdict in verdicts if verdict == "convergent"),
         {k: tuple(v) for k, v in families.items()},
         tuple(exceptional),
-        boundary,
-        divergent_count,
-        profiles,
+        tuple(w for w, verdict in verdicts if verdict == "boundary"),
+        sum(verdict == "divergent" for _, verdict in verdicts),
+        verdicts,
     )
 
 
@@ -382,18 +542,23 @@ class CoefficientSumReport:
 def coefficient_sum(mono: Monomial, tol: float = 1e-6) -> CoefficientSumReport:
     """Limit of the coefficient partial sums of a monomial, in closed form.
 
-    Every factor word must classify strictly convergent (radius > 1); the
-    column of the monomial then sums to prod (log r_w(1))^k / k! with r_w(1)
-    exact rational.  Otherwise refuses, carrying the offending profiles.
+    Every factor word must classify strictly convergent by the exact rule
+    of ``classify_word``; the column of the monomial then sums to
+    prod (log r_w(1))^k / k! with r_w(1) exact rational.  Otherwise
+    refuses, carrying the profiles of the offending words; only they load
+    numpy.
     """
+    r1, r2 = _radii(tol)
     bad: list[RootProfile] = []
     values: dict[Word, Fraction] = {}
+    truncated: dict[int, int] = {}
     for w, _ in mono.factors:
-        pr = classify_word(w, tol)
-        if pr.classification != "convergent":
-            bad.append(pr)
+        verdict = _verdict(w, r1, r2, truncated)
+        if verdict != "convergent":
+            bad.append(_root_profile(w, verdict))
         else:
-            values[w] = pr.r_at_one
+            num, den = _rw_parts(w)
+            values[w] = Fraction(sum(num), sum(den))
     if bad:
         raise ConvergenceError(
             "no convergent sum: "

@@ -64,9 +64,11 @@ CAPS_TEXT = ", ".join(map(str, CAPS.values())) + " at p = " + ", ".join(map(str,
 # and columns 3.7 s and 69 MB (it holds all 2^jmax words of its top level,
 # and each step up doubles both).  classify and verify are bounded by the
 # words they hold, which grow p-fold per unit of maxlen or base-p digit of
-# nmax: the largest admitted took 5.0 s and 72 MB (classify --p 2 --maxlen
-# 14), and verify --p 2 --nmax 32768 23 s and 160 MB (--p 7 --nmax 16807,
-# 6.2 s and 233 MB); 100,000 columns report rows took up to 10 s and 118 MB
+# nmax: the largest admitted took 6.7 s and 73 MB (classify --p 2 --maxlen
+# 14 --format json; its text scan, which finds no float root, 2.7 s and
+# 20 MB), and verify --p 2 --nmax 32768 23 s and 160 MB (--p 7 --nmax
+# 16807, 6.2 s and 233 MB); 100,000 columns report rows took up to 10 s
+# and 118 MB
 MAX_ORDER = 4000
 MAX_CELLS = 10_000_000
 MAX_COLUMN_JMAX = 16

@@ -282,7 +282,12 @@ def _sub(a: list[int], b: list[int]) -> list[int]:
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of a mod b, for a nonzero row b."""
+    """A positive integer multiple of a mod b, for a nonzero row b.
+
+    Each elimination scales the remainder by |lead(b)| / g, never by a
+    negative number, so the values keep the signs of the true remainder's,
+    as a Sturm sequence needs.
+    """
     rem = list(a)
     lead, d = b[-1], len(b) - 1
     while len(rem) > d:
@@ -291,6 +296,8 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
             continue
         g = _igcd(c, lead)
         s, t = lead // g, c // g
+        if s < 0:
+            s, t = -s, -t
         k = len(rem) - d
         if s != 1:
             rem = [s * x for x in rem]

@@ -15,6 +15,7 @@ from ppk.analysis import (
     classify_word,
     closed_form_family,
     coefficient_sum,
+    disk_root_count,
     log_rat_coeff_exact,
     poly_roots,
     q_polynomial,
@@ -22,8 +23,8 @@ from ppk.analysis import (
     term_bound_asymptotic,
     term_bound_series,
 )
-from ppk.ratcore import PolyQ, SeriesQ
-from ppk.synth import Monomial, log_rw_series, r_w_quotient
+from ppk.ratcore import PolyQ, SeriesQ, _int_row
+from ppk.synth import Monomial, _rw_parts, log_rw_series, r_w_quotient
 from ppk.theta import Tbar
 from ppk.words import Word, enumerate_admissible, truncations
 
@@ -146,6 +147,97 @@ class TestRootFinder:
         assert poly_roots(PolyQ()) == []
 
 
+def _float_verdict(w, tol):
+    """The verdict as numpy.roots floats gave it: least root modulus of N
+    and b D against the band 1 -+ tol on max |xi| = 1 / modulus."""
+    rows = _rw_parts(w)
+    radius = min(abs(r) for row in rows for r, _ in poly_roots(PolyQ(row)))
+    max_xi = 1.0 / radius
+    if max_xi > 1 + tol:
+        return "divergent"
+    return "boundary" if max_xi >= 1 - tol else "convergent"
+
+
+class TestDiskRootCount:
+    @pytest.mark.parametrize(
+        "row, radius, want",
+        [
+            ([2, 1, 2], 1, (0, 2)),  # conjugate pair on the unit circle
+            ([-2, 1], 2, (0, 1)),  # x - 2 on its own circle
+            ([4, 2], 2, (0, 1)),  # N of 10, at 1/(1 - tol) for tol 0.5
+            ([2, 5, 2], 1, (1, 0)),  # mirror pair -2, -1/2
+            ([-4, 20, -17, 4], 1, (1, 0)),  # (x - 2)^2 (4x - 1): a0^2 = an^2
+            ([-3, 13, -16, 4], 1, (2, 0)),  # (2x - 1)^2 (x - 3)
+            ([-1, 3, -3, 1], 1, (0, 3)),  # (x - 1)^3
+            ([1, 2, 1], 1, (0, 2)),  # (x + 1)^2, where the map sends -1
+            ([0, 0, -1, 0, 1], 1, (2, 2)),  # x^2 (x^2 - 1)
+            ([5], 1, (0, 0)),
+            ([5, 0, 0], Fraction(1, 3), (0, 0)),
+        ],
+    )
+    def test_planted_rows(self, row, radius, want):
+        assert disk_root_count(row, radius) == want
+
+    def test_radius_moves_the_count(self):
+        # roots 1/2, 2 and 3 of (2x - 1)(x - 2)(x - 3)
+        row = [-6, 17, -11, 2]
+        radii = (Fraction(1, 4), Fraction(1, 2), 1, 2, Fraction(5, 2), 3, 4)
+        counts = [disk_root_count(row, r) for r in radii]
+        assert counts == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+
+    def test_refuses_zero_row_and_radius(self):
+        with pytest.raises(ValueError, match="zero row"):
+            disk_root_count([0, 0])
+        with pytest.raises(ValueError, match="radius"):
+            disk_root_count([1, 1], 0)
+
+    def test_random_rows_against_float_roots(self):
+        # numpy.roots moduli are the oracle; rows with a float modulus near
+        # the radius are skipped, where the floats cannot say
+        numpy = pytest.importorskip("numpy")
+        rng = random.Random(20261021)
+        checked = 0
+        for _ in range(600):
+            row = [rng.randint(-9, 9) for _ in range(rng.randint(2, 12))]
+            row[-1] = row[-1] or 1
+            radius = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+            mods = [abs(r) for r in numpy.roots(row[::-1])]
+            if any(abs(m - float(radius)) < 1e-9 for m in mods):
+                continue
+            want = (sum(m < radius for m in mods), 0)
+            assert disk_root_count(row, radius) == want, (row, radius)
+            checked += 1
+        assert checked > 550
+
+    @pytest.mark.parametrize("p, max_len", [(2, 10), (3, 5)])
+    @pytest.mark.parametrize("tol", [1e-6, 0.5])
+    def test_scan_agrees_with_float_verdicts(self, p, max_len, tol):
+        report = scan_convergent_words(p, max_len, tol)
+        assert report.checked == len(report.verdicts)
+        for w, verdict in report.verdicts:
+            assert verdict == _float_verdict(w, tol), w
+
+    @pytest.mark.parametrize(
+        "text, p, tol, want, circle",
+        [
+            # N = 140625 + 82500 x + 22500 x^2 has roots of modulus exactly
+            # 5/2, above 1/fl(0.4); numpy put them at 2.4999999999999996
+            ("244", 7, 0.6, "convergent", None),
+            # a root exactly on |x| = 2/3 = 1/fl(1.5): not inside, so boundary
+            ("1311", 5, 0.5, "boundary", Fraction(2, 3)),
+            # roots on the unit circle, where fl(1 + 1e-17) = fl(1 - 1e-17) = 1
+            ("10011110", 2, 1e-17, "boundary", Fraction(1)),
+        ],
+    )
+    def test_verdicts_exact_at_the_band_edges(self, text, p, tol, want, circle):
+        w = W(text, p)
+        assert classify_word(w, tol).classification == want
+        assert _float_verdict(w, tol) != want
+        if circle is not None:
+            on = sum(disk_root_count(row, circle)[1] for row in _rw_parts(w))
+            assert on > 0
+
+
 class TestClassification:
     def test_definitely_convergent_word(self):
         pr = classify_word(W("10"))
@@ -238,8 +330,11 @@ class TestClassification:
             [1] + [0] * (len(wl) - 1) + [Fraction(-1, 2 ** len(wl))]
         )
         # numerator roots stay strictly outside the unit circle
-        num_mods = [abs(r) for r, _ in poly_roots(r_w_quotient(w).num)]
+        num = r_w_quotient(w).num
+        num_mods = [abs(r) for r, _ in poly_roots(num)]
         assert min(num_mods) > margin
+        # and exactly: no numerator root in the closed disk of the margin
+        assert disk_root_count(_int_row(num), Fraction(str(margin))) == (0, 0)
 
     def test_exact_coefficient_formula(self):
         # [x^n] log r_w recovered from the root data, against the series

@@ -847,6 +847,28 @@ class TestClosedPipe:
         assert line == first and err == b""
 
 
+class TestSingularRadiusGoldens:
+    # scans whose roots lie exactly on a tolerance circle: at tol 0.5 the
+    # row 4 + 2x of 10 has its root at |x| = 2 = 1/(1 - tol); taken while
+    # numpy.roots floats still decided every verdict
+    SHA256 = {
+        "classify --p 2 --maxlen 8 --tol 0.5":
+            "a60127dbda8b182d7ca17e58b18b5f1d271b4837febe42c3112304a81f2a2b95",
+        "classify --p 2 --maxlen 8 --tol 0.5 --format json":
+            "efcc24c995c47a9da917b327bff93441e2e1c0a4c0d600dbe9cd06d137d80bdf",
+        "classify --p 5 --maxlen 4 --tol 0.25":
+            "1e76fc6da893074acf36fff5d9070c39172392a24baa8f65e7251c82a20b207f",
+        "classify --p 5 --maxlen 4 --tol 0.25 --format json":
+            "49273821857d194d3932d8a47d4a30b65212409f0714e37977ae0d572462c0d3",
+    }
+
+    @pytest.mark.parametrize("command", list(SHA256))
+    def test_exit_and_sha256(self, cli, command):
+        code, out, _ = cli(*command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[command]
+
+
 class TestHighOrderGoldens:
     # coefficient series far above the default order 12, where the
     # denominators of log r_w grow the most
@@ -997,18 +1019,24 @@ class TestLongCoefficients:
 
 class TestImports:
     def test_algebra_commands_never_load_numpy(self):
-        # numpy is imported by the root finder and the oracles only, so
-        # poly and terms keep their start-up time and memory
+        # numpy is imported only for printed root floats, so poly, terms,
+        # the classify text scan and coeffs --sum keep their start-up time
+        # and memory: their verdicts are exact root counts
         code = (
-            "import sys, ppk.cli\n"
-            "assert ppk.cli.main(['terms', '--jmax', '3']) == 0\n"
+            "import contextlib, io, sys, ppk.cli\n"
+            "for argv in (['terms', '--jmax', '3'],\n"
+            "             ['classify', '--p', '2', '--maxlen', '9'],\n"
+            "             ['classify', '--p', '3', '--maxlen', '5'],\n"
+            "             ['coeffs', '--monomial', '10', '--sum']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert ppk.cli.main(argv) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, check=True, text=True, env=SRC_ENV,
         )
-        assert run.stdout.endswith("\nFalse\n")
+        assert run.stdout == "False\n"
 
     def test_library_imports_leave_pool_and_environment_alone(self):
         # no scan imports a process pool, serial or with forked workers, and
