@@ -43,8 +43,8 @@ from .synth import (
     _monomial_offset,
     _quotient_rows,
     block_polynomial,
-    block_polynomials_up_to,
     cumulative_polynomial,
+    term_counts,
 )
 from .theta import _row_coeffs, theta, tilde_table
 from .words import Word
@@ -68,7 +68,8 @@ CAPS_TEXT = ", ".join(map(str, CAPS.values())) + " at p = " + ", ".join(map(str,
 # 14 --format json; its text scan, which finds no float root, 2.7 s and
 # 20 MB), and verify --p 2 --nmax 32768 23 s and 160 MB (--p 7 --nmax
 # 16807, 6.2 s and 233 MB); 100,000 columns report rows took up to 10 s
-# and 118 MB
+# and 118 MB.  terms past its cap, with --force, holds the log r_w table and
+# one path of the walk: --p 5 --jmax 6 took 3.7-4.7 s and 45 MB
 MAX_ORDER = 4000
 MAX_CELLS = 10_000_000
 MAX_COLUMN_JMAX = 16
@@ -428,9 +429,7 @@ def cmd_terms(args: argparse.Namespace) -> Output:
     if args.jmax < 0:
         raise UsageError("jmax must be >= 0")
     _check_cap("jmax", args.jmax, args.p, args.force)
-    actual = [
-        poly.term_count for poly in block_polynomials_up_to(args.p, args.jmax)
-    ]
+    actual = term_counts(args.p, args.jmax)
     bound = term_bound_series(args.p, args.jmax)
     return Output(
         json=_json_of(lambda: {

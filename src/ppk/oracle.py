@@ -469,7 +469,7 @@ def column_scan(
     """column_check for every t <= t_max."""
     ts = range(t_max + 1)
     # the log r_w table behind P_0..P_jmax, built here for forked workers to
-    # inherit
+    # inherit; the lookup tables of its evaluation are made on a first read
     _level_index(2, j_max)
     return tuple(
         _spread(column_check, jobs, ts, repeat(j_max), repeat(m_max), repeat(tol))

@@ -25,12 +25,13 @@ The build runs on integer word ids in ``enumerate_admissible`` order: a
 monomial is a tuple of (id, exponent) pairs, and each level stores its
 coefficients as integer numerators and denominators, its only store.
 Printing reads those rows; a ``Monomial`` and a ``Fraction`` are made only
-where the public API reads ``terms``.  The cumulative P'_j = P_0 + ... +
-P_{j-1} is the partial sum of each walked series, so it builds no level.
-P_0..P_J at a row come from the generating function exp(sum_w |n|_w log
-r_w), which reads no row; ``_first_difference`` compares the stored rows
-with their rebuild from the same log r_w, ``_peeled``, exactly, for
-``verify``.
+where the public API reads ``terms``.  ``term_counts`` counts each level's
+nonzero coefficients off the same walk as it goes, storing no row.  The
+cumulative P'_j = P_0 + ... + P_{j-1} is the partial sum of each walked
+series, so it builds no level.  P_0..P_J at a row come from the generating
+function exp(sum_w |n|_w log r_w), which reads no row; ``_first_difference``
+compares the stored rows with their rebuild from the same log r_w,
+``_peeled``, exactly, for ``verify``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import itertools
 import math
 import operator
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -74,6 +75,7 @@ __all__ = [
     "monomial_series",
     "block_polynomial",
     "block_polynomials_up_to",
+    "term_counts",
     "evaluate_levels",
     "cumulative_polynomial",
     "telescope_identity_holds",
@@ -162,6 +164,8 @@ def _rw_parts(w: Word) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 _Offset = tuple[int, int, list[int]]
+
+_ONE: _Offset = (0, 1, [1])
 
 # a monomial in a walk: its (word id, exponent) pairs, ids rising
 _Key = tuple[tuple[int, int], ...]
@@ -305,33 +309,30 @@ def _monomial_text(factors: Sequence[tuple[str, int]]) -> str:
     return "*".join(f"X[{w}]" if k == 1 else f"X[{w}]^{k}" for w, k in factors)
 
 
-def _monomial_tree(
+def _visit_tree(
     wts: Sequence[int],
     jmax: int,
-    root: object = None,
-    extend: Callable[[object, int, int], object] = lambda value, i, k: value,
-) -> Iterator[tuple[_Key, object]]:
-    """The monomials of total weight <= jmax in words of weights ``wts``
-    (given in Word order, so the weights never fall) with their values, in
-    canonical ``Monomial.sort_key`` order.
+    root: object,
+    extend: Callable[[object, int, int], object],
+    visit: Callable[[_Key, tuple[int, ...], object], None],
+) -> None:
+    """Call ``visit(key, shape, value)`` on each monomial of total weight
+    <= jmax in words of weights ``wts`` (given in Word order, so the weights
+    never fall) as it is made, buffering none.
 
-    A monomial is a key: its (word id, exponent) pairs, ids rising.  The
-    constant monomial carries ``root``; appending factor (i, k) to a node
-    carries ``extend(v, i, k)``, with v the value for exponent k - 1.  The
-    walk goes depth first, word ids rising and exponents falling: that is
-    canonical order among the monomials of one shape (factor weights,
-    largest first), so the nodes are grouped by shape and the groups joined
-    in (weight, shape) order, each dropped once it is given out.
+    A monomial is a key: its (word id, exponent) pairs, ids rising; its
+    shape is its factor weights, largest first.  The constant monomial
+    carries ``root``; appending factor (i, k) to a node carries
+    ``extend(v, i, k)``, with v the value for exponent k - 1.  The walk goes
+    depth first, word ids rising and exponents falling, and holds only the
+    values of its current path: at each node on it, the values of the
+    exponents of one word not yet visited.
     """
     factors: list[tuple[int, int]] = []
-    # shape -> (keys, values), in walk order
-    groups: dict[tuple[int, ...], tuple[list[_Key], list[object]]] = {}
     firsts = [(i, 1) for i in range(len(wts))]  # one pair (i, 1) for all leaves
 
     def rec(idx: int, budget: int, shape: tuple[int, ...], value: object) -> None:
-        keys, values = groups.setdefault(shape, ([], []))
-        keys.append(tuple(factors))
-        values.append(value)
+        visit(tuple(factors), shape, value)
         top = bisect.bisect_left(wts, budget, idx)
         for i in range(idx, top):
             wt = wts[i]
@@ -340,18 +341,44 @@ def _monomial_tree(
                 chain.append(extend(chain[-1], i, k))
             for k in range(len(chain) - 1, 0, -1):
                 factors.append((i, k))
-                rec(i + 1, budget - k * wt, (wt,) * k + shape, chain[k])
+                rec(i + 1, budget - k * wt, (wt,) * k + shape, chain.pop())
                 factors.pop()
         # a factor of weight budget ends the branch, with exponent 1
         end = bisect.bisect_right(wts, budget, top)
         if top < end:
             base = tuple(factors)
-            keys, values = groups.setdefault((budget,) + shape, ([], []))
+            shape = (budget,) + shape
             for i in range(top, end):
-                keys.append((*base, firsts[i]))
-                values.append(extend(value, i, 1))
+                visit((*base, firsts[i]), shape, extend(value, i, 1))
 
     rec(0, jmax, (), root)
+
+
+def _monomial_tree(
+    wts: Sequence[int],
+    jmax: int,
+    root: object = None,
+    extend: Callable[[object, int, int], object] = lambda value, i, k: value,
+) -> Iterator[tuple[_Key, object]]:
+    """The nodes of ``_visit_tree`` as (key, value) pairs, in canonical
+    ``Monomial.sort_key`` order, for the readers that need it: the build,
+    ``cumulative_polynomial``, ``_peeled`` and ``monomials_up_to_weight``.
+
+    The walk order is canonical among the monomials of one shape, so every
+    node is buffered, grouped by shape, and the groups are given out in
+    (weight, shape) order, each dropped once it is given out.
+    ``term_counts`` needs no order and buffers nothing.
+    """
+    # shape -> (keys, values), in walk order
+    groups: dict[tuple[int, ...], tuple[list[_Key], list[object]]]
+    groups = defaultdict(lambda: ([], []))
+
+    def group(key: _Key, shape: tuple[int, ...], value: object) -> None:
+        keys, values = groups[shape]
+        keys.append(key)
+        values.append(value)
+
+    _visit_tree(wts, jmax, root, extend, group)
     for shape in sorted(groups, key=lambda shape: (sum(shape), shape)):
         yield from zip(*groups.pop(shape))
 
@@ -578,18 +605,38 @@ def block_polynomials_up_to(p: int, jmax: int) -> tuple[BlockPolynomial, ...]:
     index = _level_index(p, jmax)
     return tuple(
         BlockPolynomial._stored(p, j, index.words, level)
-        for j, level in enumerate(_level_rows(_walk(index, jmax), jmax))
+        for j, level in enumerate(_level_rows(_walk(index), jmax))
     )
 
 
-def _walk(index: _LevelIndex, jmax: int) -> Iterator[tuple[_Key, _Offset]]:
-    """The monomials of weight <= jmax in canonical order, each with its
-    coefficient series to x^jmax: the tree walk, appending factor (i, k) by
-    one truncated product with log r_i / k."""
-    logs = index.logs
-    return _monomial_tree(
-        index.wts, jmax, (0, 1, [1]), lambda s, i, k: _times(s, logs[i], k, jmax)
-    )
+def _walk(index: _LevelIndex) -> Iterator[tuple[_Key, _Offset]]:
+    """The monomials of weight <= J in canonical order, each with its
+    coefficient series to x^J: the tree walk with ``index.times``, grouped
+    by shape so that it can be given out in order."""
+    return _monomial_tree(index.wts, index.jmax, _ONE, index.times)
+
+
+def term_counts(p: int, jmax: int) -> list[int]:
+    """#P_0..#P_jmax, the number of nonzero coefficients of each level:
+    ``[P.term_count for P in block_polynomials_up_to(p, jmax)]``.
+
+    The walk of the build, with the same products ``index.times`` and the
+    same nonzero test, in walk order: each monomial's series adds one to
+    every level where it has a nonzero numerator and is dropped.  Only the
+    series on the current path and the ``_level_index`` table are held; no
+    level is built, no row is stored and the build cache is not touched.
+    """
+    index = _level_index(p, jmax)
+    counts = [0] * (jmax + 1)
+
+    def count(key: _Key, shape: tuple[int, ...], series: _Offset) -> None:
+        low, _, nums = series
+        for j, c in enumerate(nums, low):
+            if c:
+                counts[j] += 1
+
+    _visit_tree(index.wts, jmax, _ONE, index.times, count)
+    return counts
 
 
 def _level_rows(
@@ -622,26 +669,38 @@ def _level_rows(
 
 class _LevelIndex:
     """The word table and the log r_w series of one (p, J), shared by the
-    build, the generating function and the rebuild."""
+    build, the count, the generating function and the rebuild."""
 
     def __init__(self, p: int, jmax: int) -> None:
-        self.p = p
+        self.p, self.jmax = p, jmax
         self.words = words = enumerate_admissible(p, jmax)
         self.wts = _weights(words)
-        self.ids = {(len(w), w.value): i for i, w in enumerate(words)}
         self.windows = [(k, p**k) for k in range(2, jmax + 2)]
         self.logs = [_log_rw(w, jmax) for w in words]
-        den = math.lcm(*(d for _, d, _ in self.logs))
-        # D log r_w as offset integers
-        self.scaled = [
-            (low, [c * (den // d) for c in nums]) for low, d, nums in self.logs
-        ]
+        self.den = den = math.lcm(*(d for _, d, _ in self.logs))
         # weights[k - 1][i - 1] = i D^(i-1) (k-1)! / (k-i)!; P_k = A_k / dens[k]
         self.weights = [
             [i * den ** (i - 1) * math.perm(k - 1, i - 1) for i in range(1, k + 1)]
             for k in range(1, jmax + 1)
         ]
         self.dens = [den**k * math.factorial(k) for k in range(jmax + 1)]
+
+    # the tables of ``counts`` and ``evaluate``, made on their first read:
+    # ``term_counts`` reads neither
+
+    @functools.cached_property
+    def ids(self) -> dict[tuple[int, int], int]:
+        return {(len(w), w.value): i for i, w in enumerate(self.words)}
+
+    @functools.cached_property
+    def scaled(self) -> list[tuple[int, list[int]]]:
+        """D log r_w as offset integers."""
+        den = self.den
+        return [(low, [c * (den // d) for c in nums]) for low, d, nums in self.logs]
+
+    def times(self, s: _Offset, i: int, k: int) -> _Offset:
+        """s * log r_i / k to x^J: appending factor (i, k) in a walk."""
+        return _times(s, self.logs[i], k, self.jmax)
 
     def counts(self, n: int) -> list[tuple[int, int]]:
         """(id, |n|_w) for the table's words in n, ids rising, read off the
@@ -695,12 +754,12 @@ def _peeled(p: int, jmax: int) -> list[list[_Row]]:
     key's first factor (i, k) peeled: m's series is that of m / X_i, a lower
     key, times log r_i / k.  The build appends the last factor instead."""
     index = _level_index(p, jmax)
-    memo: dict[_Key, _Offset] = {(): (0, 1, [1])}
+    memo: dict[_Key, _Offset] = {(): _ONE}
     for key, _ in _monomial_tree(index.wts, jmax):
         if key:
             (i, k), rest = key[0], key[1:]
             base = memo[((i, k - 1), *rest) if k > 1 else rest]
-            memo[key] = _times(base, index.logs[i], k, jmax)
+            memo[key] = index.times(base, i, k)
     return _level_rows(memo.items(), jmax)
 
 
@@ -755,7 +814,7 @@ def cumulative_polynomial(p: int, j: int) -> BlockPolynomial:
         raise ValueError("cumulative level must be >= 1")
     index = _level_index(p, j - 1)
     rows = []
-    for key, (_, d, nums) in _walk(index, j - 1):
+    for key, (_, d, nums) in _walk(index):
         c = sum(nums)
         if c:
             rows.append((key, c, d))

@@ -752,17 +752,31 @@ class Refuse:
 class TestBuildsOnlyWhatItPrints:
     # the build stores word ids and integers; a Monomial or a Fraction is
     # made only for a level whose terms are read
+    # sha256 of terms --p 3 --jmax 3 stdout, taken while terms still read
+    # term_count off the build
+    TERMS_DIGESTS = {
+        "text": "8247e72b50b17943d062c536cd4f2a1c91396077c0f1cb4e04487a34bc7ddd8d",
+        "json": "45f923c54d0d80f85795a1970c761ec8460204db40ca3bb18645a230b36594da",
+        "csv": "b33f7ac6909a028185f9d41689e15144f26c66ba62b297482aedb82760157c85",
+    }
+
     def test_terms_makes_no_monomial_or_fraction(self, cli, monkeypatch):
-        synth.block_polynomials_up_to.cache_clear()
-        want = cli("terms", "--p", "3", "--jmax", "3")
-        synth.block_polynomials_up_to.cache_clear()
-        monkeypatch.setattr(synth, "Monomial", Refuse("Monomial"))
-        monkeypatch.setattr(synth, "Fraction", Refuse("Fraction"))
-        try:
-            got = cli("terms", "--p", "3", "--jmax", "3")
-        finally:
-            synth.block_polynomials_up_to.cache_clear()
-        assert got == want and want[0] == 0
+        # terms counts the walk's nonzero coefficients: it builds no level,
+        # so the build cache stays empty, in every format
+        build = synth.block_polynomials_up_to
+        for fmt, digest in self.TERMS_DIGESTS.items():
+            argv = ("terms", "--p", "3", "--jmax", "3", "--format", fmt)
+            build.cache_clear()
+            want = cli(*argv)
+            build.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(synth, "Monomial", Refuse("Monomial"))
+                patch.setattr(synth, "Fraction", Refuse("Fraction"))
+                patch.setattr(synth, "block_polynomials_up_to", Refuse("build"))
+                got = cli(*argv)
+            assert build.cache_info().currsize == 0, fmt
+            assert got == want and want[0] == 0, fmt
+            assert hashlib.sha256(got[1].encode()).hexdigest() == digest, fmt
 
     def test_poly_makes_no_monomial_or_fraction(self, cli, monkeypatch):
         # a stored level, and the sum of stored levels, prints from its rows

@@ -25,12 +25,14 @@ from ppk.synth import (
     block_polynomials_up_to,
     _level_index,
     _log_rw,
+    _monomial_tree,
     _mul,
     _peeled,
     _reduced,
     _rw_parts,
     _times,
     _to_series,
+    _visit_tree,
     cumulative_polynomial,
     evaluate_levels,
     log_rw_series,
@@ -41,6 +43,7 @@ from ppk.synth import (
     rw_identity_scan,
     telescope_identity_holds,
     telescope_random_check,
+    term_counts,
 )
 from ppk.theta import T_poly, Tbar, theta, theta0
 from ppk.words import (
@@ -539,6 +542,74 @@ class TestBlockPolynomials:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             block_polynomial(2, -1)
+
+
+class LiveValue:
+    """A walk value that counts how many of its kind are alive."""
+
+    alive = peak = 0
+
+    def __init__(self):
+        LiveValue.alive += 1
+        LiveValue.peak = max(LiveValue.peak, LiveValue.alive)
+
+    def __del__(self):
+        LiveValue.alive -= 1
+
+
+class TestTermCounts:
+    @pytest.mark.parametrize("p, cap", [(2, 12), (3, 6), (5, 4), (7, 3)])
+    def test_equals_the_build(self, p, cap):
+        for jmax in (0, 1, cap):
+            want = [q.term_count for q in block_polynomials_up_to(p, jmax)]
+            assert term_counts(p, jmax) == want, (p, jmax)
+
+    def test_orders_and_stores_nothing(self, monkeypatch):
+        # no level is built and the walk is not grouped into canonical order
+        import ppk.synth as synth
+
+        def refuse(*args):
+            raise AssertionError("ordered the walk")
+
+        block_polynomials_up_to.cache_clear()
+        monkeypatch.setattr(synth, "_monomial_tree", refuse)
+        assert term_counts(3, 4) == [1, 4, 26, 130, 615]
+        assert block_polynomials_up_to.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("p, jmax", [(2, 12), (3, 6), (5, 4)])
+    def test_walk_holds_only_its_path(self, p, jmax):
+        # every monomial is visited once, and the walk keeps no value past
+        # the node it belongs to and the exponents still to come on its path
+        from ppk.analysis import term_bound_series
+
+        wts = _level_index(p, jmax).wts
+        LiveValue.alive = LiveValue.peak = 0
+        keys = []
+        _visit_tree(
+            wts,
+            jmax,
+            LiveValue(),
+            lambda value, i, k: LiveValue(),
+            lambda key, shape, value: keys.append(key),
+        )
+        assert len(keys) == len(set(keys)) == term_bound_series(p, jmax)[-1]
+        assert LiveValue.peak <= jmax + 1 and LiveValue.alive == 0
+
+    @pytest.mark.parametrize("p, jmax", [(2, 8), (3, 4), (5, 3)])
+    def test_grouping_is_the_walk_sorted_by_shape(self, p, jmax):
+        # the ordered layer gives the walk's nodes, each shape's in walk order
+        wts = _level_index(p, jmax).wts
+        walked = []
+        _visit_tree(
+            wts,
+            jmax,
+            0,
+            lambda value, i, k: value + 1,
+            lambda key, shape, value: walked.append((shape, key, value)),
+        )
+        walked.sort(key=lambda node: (sum(node[0]), node[0]))  # stable
+        ordered = list(_monomial_tree(wts, jmax, 0, lambda value, i, k: value + 1))
+        assert ordered == [(key, value) for _, key, value in walked]
 
 
 def reference_renders(poly):
