@@ -25,8 +25,8 @@ import cmath
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratcore import PolyQ, RationalFunctionQ, _int_row, _prem, _squarefree_rows
 from .synth import Monomial, _rw_parts, r_w_quotient
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     """mu = (p-1)^2/p and the convergent sum sigma = sum_{k>=2} 1/(k(p^{k-1}-1))."""
 
     p: int
@@ -289,8 +288,7 @@ def _verdict(w: Word, r1: Fraction, r2: Fraction, truncated: dict[int, int]) -> 
     return _CLASSES[worst]
 
 
-@dataclass(frozen=True)
-class RootProfile:
+class RootProfile(NamedTuple):
     """Root data of r_w in lowest terms with the convergence verdict.
 
     dominant_singularity is a root of least modulus (within a relative
@@ -364,8 +362,7 @@ def log_rat_coeff_exact(profile: RootProfile, n: int) -> complex:
     return -acc / n
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of classifying every admissible word up to a length."""
 
     p: int
@@ -474,8 +471,7 @@ def _one_minus_half_pow(k: int) -> PolyQ:
     return PolyQ((1,)) - PolyQ.monomial(Fraction(1, 2**k), k)
 
 
-@dataclass(frozen=True)
-class FamilyRootReport:
+class FamilyRootReport(NamedTuple):
     variant: str
     s: int
     matches: bool
@@ -531,8 +527,7 @@ class ConvergenceError(ValueError):
         self.profiles = profiles
 
 
-@dataclass(frozen=True)
-class CoefficientSumReport:
+class CoefficientSumReport(NamedTuple):
     monomial: Monomial
     r_at_one: dict[Word, Fraction]
     value: float

@@ -5,6 +5,9 @@ tildetheta), the building-block rational functions and their coefficient
 series (rw, coeffs), convergence classification (classify), and the two
 verification drivers (verify, columns).  Each handler validates its input,
 computes, and returns an ``Output``; ``main`` prints it in the chosen format.
+A handler imports the computational modules that only it calls (``oracle``,
+``analysis``) in its own body, and ``json`` and ``csv`` load only for the
+format printed, so a cold command compiles and runs only the code it uses.
 Output is deterministic for a fixed set of flags: every collection is emitted
 in its canonical order, floats are printed with repr, and JSON objects use a
 fixed key layout.
@@ -20,23 +23,12 @@ traceback and status 1.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
 
-from .analysis import (
-    ConvergenceError,
-    RootProfile,
-    classify_word,
-    coefficient_sum,
-    scan_convergent_words,
-    term_bound_series,
-)
 from .ratcore import canonical_rows, quotient_text, ratio_strs, row_text
 from .synth import (
     Monomial,
@@ -48,6 +40,9 @@ from .synth import (
 )
 from .theta import _row_coeffs, theta, tilde_table
 from .words import Word
+
+if TYPE_CHECKING:
+    from .analysis import RootProfile
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -202,8 +197,7 @@ def _complex_json(z: complex) -> list[float]:
 # -- output ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     """What a handler prints, one builder per format, and its exit status.
 
     ``json`` returns the JSON text in chunks, without the final newline,
@@ -221,8 +215,14 @@ class Output:
 
 def _json_of(build: Callable[[], object]) -> Callable[[], Iterable[str]]:
     """The JSON builder for an object: the chunks that ``json.dump`` writes
-    with ``indent=2``."""
-    return lambda: json.JSONEncoder(indent=2).iterencode(build())
+    with ``indent=2``; ``json`` is loaded when the builder runs."""
+
+    def chunks() -> Iterable[str]:
+        from json import JSONEncoder
+
+        return JSONEncoder(indent=2).iterencode(build())
+
+    return chunks
 
 
 def _write(out: Output, fmt: str, stream: TextIO) -> int:
@@ -231,6 +231,8 @@ def _write(out: Output, fmt: str, stream: TextIO) -> int:
             stream.write(chunk)
         stream.write("\n")
     elif fmt == "csv":
+        import csv
+
         csv.writer(stream).writerows(out.csv())
     else:
         for line in out.text():
@@ -339,6 +341,8 @@ def cmd_coeffs(args: argparse.Namespace) -> Output:
             sys.set_int_max_str_digits(limit)
     total = None
     if args.sum:
+        from .analysis import ConvergenceError, coefficient_sum
+
         try:
             total = coefficient_sum(mono, tol=tol)
         except ConvergenceError as exc:
@@ -426,6 +430,8 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 
 
 def cmd_terms(args: argparse.Namespace) -> Output:
+    from .analysis import term_bound_series
+
     if args.jmax < 0:
         raise UsageError("jmax must be >= 0")
     _check_cap("jmax", args.jmax, args.p, args.force)
@@ -496,6 +502,8 @@ def _listing(label: str, words) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> Output:
+    from .analysis import classify_word, scan_convergent_words
+
     if (args.word is None) == (args.maxlen is None):
         raise UsageError("pass exactly one of --word and --maxlen")
     tol = _unit_tol(args)
@@ -611,7 +619,7 @@ def cmd_columns(args: argparse.Namespace) -> Output:
                 {
                     "t": r.t,
                     # the row fields are the schema's row keys, in order
-                    "rows": [asdict(row) for row in r.rows],
+                    "rows": [row._asdict() for row in r.rows],
                     "max_deviation": r.max_deviation,
                     "ok": r.ok,
                 }

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from .synth import _first_difference, _level_index
 from .theta import _row_coeffs, theta0
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValuationTriple:
+class ValuationTriple(NamedTuple):
     """One p-adic valuation of a binomial coefficient, three ways."""
 
     by_borrows: int
@@ -417,8 +416,7 @@ def _carry_counts(t: int, j_max: int, m_max: int) -> list[int]:
     return [below >> w * j & ((1 << w) - 1) for j in range(j_max + 1)]
 
 
-@dataclass(frozen=True)
-class ColumnCheckRow:
+class ColumnCheckRow(NamedTuple):
     j: int
     count: int
     estimate: float
@@ -426,8 +424,7 @@ class ColumnCheckRow:
     deviation: float
 
 
-@dataclass(frozen=True)
-class ColumnCheckReport:
+class ColumnCheckReport(NamedTuple):
     t: int
     rows: tuple[ColumnCheckRow, ...]
     max_deviation: float
@@ -476,8 +473,7 @@ def column_scan(
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Cross-validation of recurrence, synthesis, and brute force for one p.
 
     ``poly_ok``: the generating function gives every brute row histogram

@@ -43,7 +43,6 @@ import math
 import operator
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -58,6 +57,7 @@ from .ratcore import (
 from .theta import _ext_pair, _row_coeffs
 from .words import (
     Word,
+    _frozen,
     counting_factor_counts,
     enumerate_admissible,
     expand,
@@ -250,15 +250,19 @@ def log_rw_series(w: Word, order: int) -> SeriesQ:
     return _to_series(_log_rw(w, order), order)
 
 
-@dataclass(frozen=True, slots=True)
 class Monomial:
-    """Product of X_w^k factors, stored sorted by the canonical word order."""
+    """Product of X_w^k factors, stored sorted by the canonical word order.
 
-    factors: tuple[tuple[Word, int], ...]
+    A value, as ``Word`` is: equal to a Monomial with the same factors,
+    hashed as the tuple of its one field, and pickled and copied through
+    its constructor.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Word, int], ...]) -> None:
         seen: list[tuple[int, tuple[int, ...]]] = []
-        for w, k in self.factors:
+        for w, k in factors:
             if w.is_empty:
                 raise ValueError("monomial factors need nonempty words")
             if k < 1:
@@ -266,6 +270,23 @@ class Monomial:
             seen.append(w.sort_key())
         if seen != sorted(set(seen)):
             raise ValueError("monomial factors must be sorted and distinct")
+        object.__setattr__(self, "factors", factors)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"Monomial(factors={self.factors!r})"
+
+    def __reduce__(self) -> tuple:
+        return Monomial, (self.factors,)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[Word, int]]) -> "Monomial":

@@ -15,22 +15,46 @@ Three word families recur throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Word:
-    """Immutable digit word; ``digits`` may be empty and may lead with 0."""
+    """Immutable digit word; ``digits`` may be empty and may lead with 0.
 
-    p: int
-    digits: tuple[int, ...]
+    A value: equal to a Word with the same fields, hashed as their tuple,
+    and pickled and copied through its constructor.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p < 2:
+    __slots__ = ("p", "digits")
+
+    def __init__(self, p: int, digits: tuple[int, ...]) -> None:
+        if p < 2:
             raise ValueError("base must be >= 2")
-        if any(not isinstance(d, int) or not 0 <= d < self.p for d in self.digits):
-            raise ValueError(f"digits must lie in 0..{self.p - 1}: {self.digits}")
+        if any(not isinstance(d, int) or not 0 <= d < p for d in digits):
+            raise ValueError(f"digits must lie in 0..{p - 1}: {digits}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "digits", digits)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.digits == other.digits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.digits))
+
+    def __repr__(self) -> str:
+        return f"Word(p={self.p!r}, digits={self.digits!r})"
+
+    def __reduce__(self) -> tuple:
+        return Word, (self.p, self.digits)
 
     @classmethod
     def parse(cls, text: str, p: int) -> "Word":

@@ -1,6 +1,5 @@
 """Roots, convergence verdicts, families and term-count asymptotics."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -356,7 +355,7 @@ class TestClassification:
 
     def test_incomplete_profile_refused(self):
         prof = classify_word(W("110"))
-        dropped = dataclasses.replace(prof, zeros=prof.zeros[1:])
+        dropped = prof._replace(zeros=prof.zeros[1:])
         with pytest.raises(ValueError, match="incomplete root profile for 110"):
             log_rat_coeff_exact(dropped, 1)
 

@@ -619,7 +619,7 @@ class TestExitCodes:
             calls.append((p, j_max))
             return term_bound_series(p, j_max)
 
-        monkeypatch.setattr(cli_module, "term_bound_series", counted)
+        monkeypatch.setattr("ppk.analysis.term_bound_series", counted)
         assert cli("poly", "--p", "2", "--j", "4")[0] == 0
         assert calls == []
         assert cli("terms", "--p", "3", "--jmax", "3")[0] == 0
@@ -1032,6 +1032,43 @@ class TestLongCoefficients:
 
 
 class TestImports:
+    @pytest.mark.parametrize(
+        "argv, analysis",
+        [
+            ("poly --j 4", False),
+            ("poly --j 4 --format json", False),
+            ("theta --n 100", False),
+            ("rw --word 110", False),
+            ("tildetheta --kmax 4 --nmax 6 --format csv", False),
+            ("verify --nmax 64 --jobs 2", False),
+            ("columns --tmax 4 --jmax 2 --mmax 64 --format json", False),
+            ("coeffs --monomial 10^2*110", False),
+            ("coeffs --monomial 10 --sum", True),
+            ("terms --jmax 3", True),
+            ("classify --maxlen 5", True),
+            ("classify --maxlen 5 --format csv", True),
+            ("classify --word 110", True),
+        ],
+    )
+    def test_cold_command_loads_what_it_runs(self, argv, analysis):
+        # no command loads dataclasses, none but numpy (which only printed
+        # root floats load) loads inspect, and only classify, terms and
+        # coeffs --sum load ppk.analysis; each runs in a fresh process,
+        # since pytest itself holds inspect
+        code = (
+            "import contextlib, io, sys, ppk.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ppk.cli.main(sys.argv[1:]) == 0\n"
+            "print('dataclasses' in sys.modules,\n"
+            "      'inspect' in sys.modules and 'numpy' not in sys.modules,\n"
+            "      'ppk.analysis' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv.split()],
+            capture_output=True, check=True, text=True, env=SRC_ENV,
+        )
+        assert run.stdout == f"False False {analysis}\n"
+
     def test_algebra_commands_never_load_numpy(self):
         # numpy is imported only for printed root floats, so poly, terms,
         # the classify text scan and coeffs --sum keep their start-up time

@@ -1,9 +1,9 @@
 """Brute-force cross checks: valuation routes, row histograms, columns."""
 
 import array
-import dataclasses
 import math
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -17,6 +17,8 @@ import pytest
 from ppk import oracle, synth, words
 from ppk.cli import main
 from ppk.oracle import (
+    ColumnCheckReport,
+    ColumnCheckRow,
     ValuationTriple,
     column_check,
     column_scan,
@@ -309,6 +311,14 @@ class TestColumns:
         assert _level_index.cache_info().misses == 1
         assert block_polynomials_up_to.cache_info().misses == 0
 
+    def test_report_pickles(self):
+        # forked columns workers send their reports through a pipe
+        rep = column_check(11, 3, 1 << 10)
+        again = pickle.loads(pickle.dumps(rep, -1))
+        assert again == rep and type(again) is ColumnCheckReport
+        assert type(again.rows[0]) is ColumnCheckRow
+        assert again.rows[2]._asdict() == rep.rows[2]._asdict()
+
     def test_small_scan(self):
         reports = column_scan(8, 3, 1 << 14)
         assert len(reports) == 9
@@ -391,8 +401,7 @@ class TestEquivalence:
 
     def test_each_verdict_is_stored_once(self):
         # the *_ok verdicts are properties of the counterexamples
-        names = [f.name for f in dataclasses.fields(oracle.VerifyReport)]
-        assert names == [
+        assert list(oracle.VerifyReport._fields) == [
             "p", "n_max", "triple_counterexample", "rows_counterexample",
             "poly_counterexample",
         ]

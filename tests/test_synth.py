@@ -1,8 +1,10 @@
 """Building-block rational functions and synthesis of the level polynomials."""
 
+import copy
 import gc
 import hashlib
 import json
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -276,6 +278,35 @@ class TestMonomials:
             Monomial(((a, 0),))
         with pytest.raises(ValueError):
             Monomial(((Word(2, ()), 1),))
+
+    def test_messages(self):
+        a, b = W("10"), W("100")
+        with pytest.raises(ValueError, match="^monomial factors need nonempty words$"):
+            Monomial(((Word(2, ()), 1),))
+        with pytest.raises(ValueError, match="^monomial exponents must be >= 1$"):
+            Monomial(((a, 0),))
+        with pytest.raises(ValueError, match="^monomial factors must be sorted and distinct$"):
+            Monomial(((b, 1), (a, 2)))
+
+    def test_value_semantics(self):
+        # a value like Word: hashed as its field tuple, so sets and dicts of
+        # monomials keep their order
+        factors = ((W("10"), 2), (W("110"), 1))
+        m = Monomial(factors)
+        assert m == Monomial.of([(W("110"), 1), (W("10"), 2)])
+        assert m != Monomial(((W("10"), 1),)) and m != factors
+        assert hash(m) == hash((factors,))
+        assert repr(Monomial(((W("10"), 2),))) == (
+            "Monomial(factors=((Word(p=2, digits=(1, 0)), 2),))"
+        )
+        assert repr(Monomial(())) == "Monomial(factors=())"
+        with pytest.raises(AttributeError, match="cannot assign to field 'factors'"):
+            m.factors = ()
+        with pytest.raises(AttributeError):
+            del m.factors
+        for again in (pickle.loads(pickle.dumps(m, -1)), copy.deepcopy(m)):
+            assert again == m and hash(again) == hash(m)
+            assert type(again) is Monomial and str(again) == "X[10]^2*X[110]"
 
     def test_of_sorts(self):
         m = Monomial.of([(W("100"), 1), (W("10"), 2)])

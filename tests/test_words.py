@@ -1,5 +1,7 @@
 """Digit words, expansions, factor counting and realizing count vectors."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -90,6 +92,45 @@ class TestWordBasics:
         assert Word(2, (1,)).in_counting_set
         assert not Word(2, (0, 1)).in_counting_set
         assert not Word(2, ()).in_counting_set
+
+
+class TestWordValue:
+    # Word is a value: sets and dicts keyed by words keep their order only
+    # while its hash is the hash of its field tuple
+
+    def test_equality_and_hash(self):
+        w = Word(2, (1, 0))
+        assert w == Word.parse("10", 2)
+        assert w != Word(3, (1, 0)) and w != Word(2, (1, 0, 0))
+        assert w != (2, (1, 0))
+        assert hash(w) == hash((2, (1, 0)))
+        assert hash(Word(5, ())) == hash((5, ()))
+
+    def test_repr(self):
+        assert repr(Word(3, (2, 0, 1))) == "Word(p=3, digits=(2, 0, 1))"
+        assert repr(Word(2, ())) == "Word(p=2, digits=())"
+
+    def test_immutable(self):
+        w = Word(2, (1, 0))
+        with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+            w.p = 3
+        with pytest.raises(AttributeError):
+            w.other = 1
+        with pytest.raises(AttributeError):
+            del w.digits
+        assert w == Word(2, (1, 0))
+
+    def test_pickle_and_deepcopy(self):
+        for w in (Word(2, (1, 0, 1, 1, 0)), Word(7, (6, 0)), Word(3, ())):
+            for again in (pickle.loads(pickle.dumps(w, -1)), copy.deepcopy(w)):
+                assert again == w and hash(again) == hash(w)
+                assert type(again) is Word and repr(again) == repr(w)
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"^digits must lie in 0\.\.1: \(1, 2\)$"):
+            Word(2, (1, 2))
+        with pytest.raises(ValueError, match="^base must be >= 2$"):
+            Word(1, (0,))
 
 
 class TestExpansions:
